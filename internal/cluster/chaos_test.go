@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -136,15 +137,21 @@ func hedgeResponse(t *testing.T) *proto.RunResponse {
 // TestHedgeCancelReleasesLoser: when the hedge completes first, the still
 // in-flight primary must be cancelled — counted by
 // parrot_cluster_hedge_cancels_total — instead of running to completion and
-// doubling fleet load under exactly the conditions that made it slow.
+// doubling fleet load under exactly the conditions that made it slow. The
+// fixtures read the request body first, as the real handler does: only then
+// does the server watch the connection and cancel the request context when
+// the client goes away, so the slow peer observes the release.
 func TestHedgeCancelReleasesLoser(t *testing.T) {
 	resp := hedgeResponse(t)
+	released := make(chan struct{}, 1)
 	serve := func(delay time.Duration) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
 			if delay > 0 {
 				select {
 				case <-time.After(delay):
 				case <-r.Context().Done():
+					released <- struct{}{}
 					return // cancelled loser: exit promptly
 				}
 			}
@@ -199,5 +206,10 @@ func TestHedgeCancelReleasesLoser(t *testing.T) {
 	}
 	if got := c.hedgeCancels.Value(); got != 1 {
 		t.Fatalf("hedge cancels = %v, want 1 (the slow primary was still in flight)", got)
+	}
+	select {
+	case <-released:
+	case <-time.After(time.Second):
+		t.Fatal("the slow primary was not released within 1s of the hedge winning")
 	}
 }

@@ -107,7 +107,22 @@ func traceDefaults(m *Model) {
 	m.BlazeThreshold = 32
 }
 
-// Get returns the named model configuration.
+// presentation is every model ID in presentation order.
+var presentation = []ModelID{N, TN, TON, W, TW, TOW, TOS}
+
+// Lookup returns the named model configuration, or ok=false for an unknown
+// ID. Only the named model is built.
+func Lookup(id ModelID) (Model, bool) {
+	for _, known := range presentation {
+		if known == id {
+			return Get(id), true
+		}
+	}
+	return Model{}, false
+}
+
+// Get returns the named model configuration. It panics on an unknown ID;
+// Lookup is the checked form.
 func Get(id ModelID) Model {
 	m := baseline()
 	m.ID = id
@@ -187,9 +202,8 @@ func Get(id ModelID) Model {
 
 // All returns every model in presentation order.
 func All() []Model {
-	ids := []ModelID{N, TN, TON, W, TW, TOW, TOS}
-	out := make([]Model, len(ids))
-	for i, id := range ids {
+	out := make([]Model, len(presentation))
+	for i, id := range presentation {
 		out[i] = Get(id)
 	}
 	return out

@@ -12,7 +12,7 @@ import (
 // vectors, trace-machinery counters — produce the same digest; any semantic
 // divergence in the simulation kernel changes it.
 //
-// Each cell is hashed by writeResult (see spec.go), the same canonical
+// Each cell is hashed by appendResult (see spec.go), the same canonical
 // encoding ResultDigest applies to single cells, so a matrix reassembled
 // from individually cached (and individually verified) cells reproduces
 // this digest bit-exactly — the property the serving layer's CI smoke test
@@ -23,18 +23,17 @@ import (
 // must reproduce the poll-everything engine's matrix exactly.
 func (r *Results) Digest() string {
 	h := sha256.New()
+	b := make([]byte, 0, resultBytes)
 	for _, id := range r.Models() {
 		for _, p := range r.Apps() {
-			res := r.Get(id, p.Name)
-			if res == nil {
-				wstr(h, string(id))
-				wstr(h, p.Name)
-				continue
+			if res := r.Get(id, p.Name); res != nil {
+				b = appendResult(b[:0], res)
+			} else {
+				b = astr(astr(b[:0], string(id)), p.Name)
 			}
-			writeResult(h, res)
+			h.Write(b)
 		}
 	}
-	wf64(h, r.PMax)
-	wstr(h, r.PMaxApp)
+	h.Write(astr(af64(b[:0], r.PMax), r.PMaxApp))
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash"
 	"math"
+	"reflect"
+	"sync"
+	"unsafe"
 
 	"parrot/internal/config"
 	"parrot/internal/core"
@@ -59,19 +63,8 @@ func (s RunSpec) Normalize() RunSpec {
 // so such changes are made consciously alongside a SimVersion review.
 func (s RunSpec) Digest() string {
 	s = s.Normalize()
-	h := sha256.New()
-	wu64(h, SimVersion)
-	mb, err := json.Marshal(s.Model)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: model spec not serializable: %v", err))
-	}
-	pb, err := json.Marshal(s.App)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: profile spec not serializable: %v", err))
-	}
-	wbytes(h, mb)
-	wbytes(h, pb)
-	wu64(h, uint64(s.Insts))
+	h := specHash(s.Model, s.App)
+	h.Write(au64(nil, uint64(s.Insts)))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -81,92 +74,177 @@ func (s RunSpec) Digest() string {
 // stale-but-related cached result when the exact digest cannot be computed
 // in time.
 func (s RunSpec) FamilyKey() string {
-	s = s.Normalize()
+	return hex.EncodeToString(specHash(s.Model, s.App).Sum(nil))
+}
+
+// specKey is the full (model, profile) value pair. Both types are flat
+// and comparable, so the pair itself is the memo key: a model perturbed
+// under an unchanged ID is a different key.
+type specKey struct {
+	model config.Model
+	app   workload.Profile
+}
+
+// specMemoCap bounds the memo. Past it the memo starts over, so sweeps
+// that mint a fresh model per cell cannot grow it without limit.
+const specMemoCap = 1024
+
+// specMemo maps a (model, profile) pair to the SHA-256 state after
+// absorbing the pair's canonical encoding (writeSpec). Entries are never
+// modified after insertion.
+var specMemo struct {
+	sync.RWMutex
+	m map[specKey][]byte
+}
+
+// specHash returns a SHA-256 hash that has absorbed the canonical encoding
+// of the pair: SimVersion, then the length-prefixed JSON of the model and
+// of the profile. JSON encoding and hashing it dominate the cost of Digest
+// and FamilyKey, and a server hashes the same few hundred pairs over and
+// over, so the hash state is memoized per pair. Map keys compare floats
+// with ==, which equates -0 and +0 although their JSON differs ("-0" vs
+// "0"); a pair holding a negative zero is therefore encoded afresh every
+// time.
+func specHash(m config.Model, p workload.Profile) hash.Hash {
 	h := sha256.New()
-	wu64(h, SimVersion)
-	mb, err := json.Marshal(s.Model)
+	k := specKey{model: m, app: p}
+	if k.hasNegZero() {
+		writeSpec(h, m, p)
+		return h
+	}
+	specMemo.RLock()
+	state, ok := specMemo.m[k]
+	specMemo.RUnlock()
+	if ok {
+		if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(state); err != nil {
+			panic(fmt.Sprintf("experiments: hash state not restorable: %v", err))
+		}
+		return h
+	}
+	writeSpec(h, m, p)
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("experiments: hash state not serializable: %v", err))
+	}
+	specMemo.Lock()
+	if len(specMemo.m) >= specMemoCap || specMemo.m == nil {
+		specMemo.m = make(map[specKey][]byte)
+	}
+	specMemo.m[k] = state
+	specMemo.Unlock()
+	return h
+}
+
+// writeSpec streams the canonical encoding of a (model, profile) pair.
+func writeSpec(h hash.Hash, m config.Model, p workload.Profile) {
+	mb, err := json.Marshal(m)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: model spec not serializable: %v", err))
 	}
-	pb, err := json.Marshal(s.App)
+	pb, err := json.Marshal(p)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: profile spec not serializable: %v", err))
 	}
-	wbytes(h, mb)
-	wbytes(h, pb)
-	return hex.EncodeToString(h.Sum(nil))
+	h.Write(abytes(abytes(au64(make([]byte, 0, 24+len(mb)+len(pb)), SimVersion), mb), pb))
 }
 
-// canonical little-endian writers shared by the spec and result hashers.
+// floatOffsets holds the byte offset of every float64 inside specKey,
+// found once by reflection so hasNegZero needs none.
+var floatOffsets = float64Offsets(reflect.TypeOf(specKey{}), 0)
 
-func wu64(h hash.Hash, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
-}
-
-func wf64(h hash.Hash, v float64) { wu64(h, math.Float64bits(v)) }
-
-func wstr(h hash.Hash, s string) {
-	wu64(h, uint64(len(s)))
-	h.Write([]byte(s))
-}
-
-func wbytes(h hash.Hash, b []byte) {
-	wu64(h, uint64(len(b)))
-	h.Write(b)
-}
-
-// writeResult streams every deterministic field of one cell result into the
-// hash in canonical order. It is the single definition shared by the
-// matrix-level Results.Digest (the golden-digest test) and the cell-level
-// ResultDigest (the serving cache's integrity check), so a cached cell that
-// verifies individually also verifies inside a reassembled matrix.
-func writeResult(h hash.Hash, res *core.Result) {
-	wstr(h, string(res.Model))
-	wstr(h, res.App)
-	wu64(h, res.Insts)
-	wu64(h, res.Cycles)
-	wu64(h, res.HotInsts)
-	wu64(h, res.ColdInsts)
-	wf64(h, res.DynEnergy)
-	for _, b := range res.Breakdown {
-		wf64(h, b)
+func float64Offsets(t reflect.Type, base uintptr) (out []uintptr) {
+	switch t.Kind() {
+	case reflect.Float64:
+		out = append(out, base)
+	case reflect.Float32:
+		panic("experiments: float32 spec fields are not supported by the spec memo")
+	case reflect.Array:
+		for i := 0; i < t.Len(); i++ {
+			out = append(out, float64Offsets(t.Elem(), base+uintptr(i)*t.Elem().Size())...)
+		}
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			out = append(out, float64Offsets(f.Type, base+f.Offset)...)
+		}
 	}
-	wu64(h, res.BranchStats.Lookups)
-	wu64(h, res.BranchStats.Updates)
-	wu64(h, res.BranchStats.Mispredicts)
-	wu64(h, res.TPredStats.Lookups)
-	wu64(h, res.TPredStats.Predictions)
-	wu64(h, res.TPredStats.Correct)
-	wu64(h, res.TPredStats.Mispredicts)
-	wu64(h, res.TPredStats.Updates)
-	wu64(h, res.TCStats.Lookups)
-	wu64(h, res.TCStats.Hits)
-	wu64(h, res.TCStats.Misses)
-	wu64(h, res.TCStats.Inserts)
-	wu64(h, res.TCStats.Writebacks)
-	wu64(h, res.TCStats.Evictions)
-	wu64(h, res.TraceAborts)
-	wu64(h, res.TraceBuilds)
-	wu64(h, res.HotSegments)
-	wu64(h, res.ColdSegments)
-	wu64(h, res.Optimizations)
-	wu64(h, res.OptUopsBefore)
-	wu64(h, res.OptUopsAfter)
-	wu64(h, res.OptCritBefore)
-	wu64(h, res.OptCritAfter)
-	wu64(h, res.DynUopsOrig)
-	wu64(h, res.DynUopsOpt)
-	wu64(h, res.DynCritOrig)
-	wu64(h, res.DynCritOpt)
-	wu64(h, res.OptTracesSeen)
-	wu64(h, res.OptExecs)
-	wu64(h, res.UopsCommitted)
-	wu64(h, res.UopsDispatched)
+	return out
+}
+
+// hasNegZero reports whether any float inside the pair is a negative zero.
+func (k *specKey) hasNegZero() bool {
+	for _, off := range floatOffsets {
+		if math.Float64bits(*(*float64)(unsafe.Add(unsafe.Pointer(k), off))) == 1<<63 {
+			return true
+		}
+	}
+	return false
+}
+
+// canonical little-endian appenders shared by the spec and result
+// encodings. Encodings are built in a byte slice and hashed in one write:
+// a small array handed to hash.Hash.Write escapes to the heap, so writing
+// field by field would allocate once per field.
+
+func au64(b []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(b, v) }
+
+func af64(b []byte, v float64) []byte { return au64(b, math.Float64bits(v)) }
+
+func abytes(b, v []byte) []byte { return append(au64(b, uint64(len(v))), v...) }
+
+func astr(b []byte, s string) []byte { return append(au64(b, uint64(len(s))), s...) }
+
+// appendResult appends every deterministic field of one cell result in
+// canonical order. It is the single definition shared by the matrix-level
+// Results.Digest (the golden-digest test) and the cell-level ResultDigest
+// (the serving cache's integrity check), so a cached cell that verifies
+// individually also verifies inside a reassembled matrix.
+func appendResult(b []byte, res *core.Result) []byte {
+	b = astr(b, string(res.Model))
+	b = astr(b, res.App)
+	b = au64(b, res.Insts)
+	b = au64(b, res.Cycles)
+	b = au64(b, res.HotInsts)
+	b = au64(b, res.ColdInsts)
+	b = af64(b, res.DynEnergy)
+	for _, e := range res.Breakdown {
+		b = af64(b, e)
+	}
+	b = au64(b, res.BranchStats.Lookups)
+	b = au64(b, res.BranchStats.Updates)
+	b = au64(b, res.BranchStats.Mispredicts)
+	b = au64(b, res.TPredStats.Lookups)
+	b = au64(b, res.TPredStats.Predictions)
+	b = au64(b, res.TPredStats.Correct)
+	b = au64(b, res.TPredStats.Mispredicts)
+	b = au64(b, res.TPredStats.Updates)
+	b = au64(b, res.TCStats.Lookups)
+	b = au64(b, res.TCStats.Hits)
+	b = au64(b, res.TCStats.Misses)
+	b = au64(b, res.TCStats.Inserts)
+	b = au64(b, res.TCStats.Writebacks)
+	b = au64(b, res.TCStats.Evictions)
+	b = au64(b, res.TraceAborts)
+	b = au64(b, res.TraceBuilds)
+	b = au64(b, res.HotSegments)
+	b = au64(b, res.ColdSegments)
+	b = au64(b, res.Optimizations)
+	b = au64(b, res.OptUopsBefore)
+	b = au64(b, res.OptUopsAfter)
+	b = au64(b, res.OptCritBefore)
+	b = au64(b, res.OptCritAfter)
+	b = au64(b, res.DynUopsOrig)
+	b = au64(b, res.DynUopsOpt)
+	b = au64(b, res.DynCritOrig)
+	b = au64(b, res.DynCritOpt)
+	b = au64(b, res.OptTracesSeen)
+	b = au64(b, res.OptExecs)
+	b = au64(b, res.UopsCommitted)
+	b = au64(b, res.UopsDispatched)
 	for _, c := range res.Counts {
-		wu64(h, c)
+		b = au64(b, c)
 	}
+	return b
 }
 
 // ResultDigest returns the hex SHA-256 over every deterministic field of a
@@ -174,7 +252,10 @@ func writeResult(h hash.Hash, res *core.Result) {
 // entry and recomputes on load, so corrupt or truncated entries are
 // detected by digest mismatch and recomputed rather than served.
 func ResultDigest(res *core.Result) string {
-	h := sha256.New()
-	writeResult(h, res)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(appendResult(make([]byte, 0, resultBytes), res))
+	return hex.EncodeToString(sum[:])
 }
+
+// resultBytes is room for one appendResult encoding: two short strings
+// plus fixed-width fields.
+const resultBytes = 1024

@@ -1,6 +1,10 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"sync"
 	"testing"
 
 	"parrot/internal/config"
@@ -89,6 +93,115 @@ func TestRunSpecDigestSensitivity(t *testing.T) {
 			t.Errorf("%s change did not move the digest", name)
 		}
 	}
+}
+
+// TestRunSpecDigestMemo: the encoding memo must be invisible. A model
+// perturbed under an unchanged ID, after its unperturbed twin warmed the
+// memo, gets its own digest, and every memoized digest equals a fresh
+// encoding.
+func TestRunSpecDigestMemo(t *testing.T) {
+	base := RunSpec{Model: config.Get(config.TON), App: mustProfile(t, "gzip"), Insts: 10_000}
+	fresh := func(s RunSpec) string {
+		h := sha256.New()
+		writeSpec(h, s.Model, s.App)
+		h.Write(au64(nil, uint64(s.Insts)))
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	baseD := base.Digest() // warms the memo
+	if again := base.Digest(); again != baseD || again != fresh(base) {
+		t.Fatalf("memoized digest %s, first %s, fresh %s", again, baseD, fresh(base))
+	}
+	hit := testing.AllocsPerRun(50, func() { base.Digest() })
+	if encode := testing.AllocsPerRun(50, func() { fresh(base) }); hit >= encode {
+		t.Fatalf("memoized digest allocates %.0f times, a fresh encoding %.0f: the memo is not used", hit, encode)
+	}
+	tweaks := map[string]func(s *RunSpec){
+		"model_int":   func(s *RunSpec) { s.Model.BlazeThreshold++ },
+		"model_float": func(s *RunSpec) { s.Model.CoreAreaK += 1e-12 },
+		"model_core":  func(s *RunSpec) { s.Model.Core.Units[0]++ },
+		"app_float":   func(s *RunSpec) { s.App.HotFraction -= 1e-12 },
+		"app_array":   func(s *RunSpec) { s.App.TripCount[1]++ },
+	}
+	for name, tweak := range tweaks {
+		s := base
+		tweak(&s)
+		for pass := 0; pass < 2; pass++ { // miss, then memo hit
+			if d := s.Digest(); d == baseD || d != fresh(s) {
+				t.Errorf("%s pass %d: digest %.12s, base %.12s, fresh %.12s", name, pass, d, baseD, fresh(s))
+			}
+		}
+	}
+}
+
+// TestRunSpecDigestNegativeZero: == equates -0 and +0, but their JSON
+// differs, so a negative-zero field must not be served the memoized
+// encoding of its positive twin.
+func TestRunSpecDigestNegativeZero(t *testing.T) {
+	pos := RunSpec{Model: config.Get(config.TON), App: mustProfile(t, "gzip"), Insts: 10_000}
+	pos.App.FracFP = 0
+	neg := pos
+	neg.App.FracFP = math.Copysign(0, -1)
+	posD := pos.Digest() // memoize the +0 pair
+	if neg.Digest() == posD {
+		t.Fatal("-0 spec served the memoized +0 digest")
+	}
+	if len(floatOffsets) < 2 {
+		t.Fatalf("found %d float fields in the spec, want the model's and the profile's", len(floatOffsets))
+	}
+}
+
+// TestRunSpecDigestMemoBounded: a sweep that mints a fresh model per cell
+// cannot grow the memo past its cap, and digests stay correct across the
+// reset.
+func TestRunSpecDigestMemoBounded(t *testing.T) {
+	base := RunSpec{Model: config.Get(config.N), App: mustProfile(t, "gzip"), Insts: 1_000}
+	first := base.Digest()
+	for i := 0; i < 3*specMemoCap; i++ {
+		s := base
+		s.Model.BTBEntries = i + 1
+		s.Digest()
+		specMemo.RLock()
+		n := len(specMemo.m)
+		specMemo.RUnlock()
+		if n > specMemoCap {
+			t.Fatalf("memo holds %d entries after %d distinct models, cap %d", n, i+1, specMemoCap)
+		}
+	}
+	if base.Digest() != first {
+		t.Fatal("digest changed across a memo reset")
+	}
+}
+
+// TestRunSpecDigestConcurrent: goroutines sharing the memo, across its
+// resets, each get the digest of a fresh encoding.
+func TestRunSpecDigestConcurrent(t *testing.T) {
+	base := RunSpec{Model: config.Get(config.TOW), App: mustProfile(t, "swim"), Insts: 1_000}
+	want := make([]string, specMemoCap+specMemoCap/2)
+	for i := range want {
+		s := base
+		s.Model.RASDepth = i + 1
+		h := sha256.New()
+		writeSpec(h, s.Model, s.App)
+		h.Write(au64(nil, uint64(s.Insts)))
+		want[i] = hex.EncodeToString(h.Sum(nil))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range want {
+				i := (j*(g+1) + g) % len(want)
+				s := base
+				s.Model.RASDepth = i + 1
+				if d := s.Digest(); d != want[i] {
+					t.Errorf("goroutine %d, model %d: digest %.12s, want %.12s", g, i, d, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestResultDigestSensitivity: the per-cell result digest must react to

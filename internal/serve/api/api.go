@@ -348,15 +348,8 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 
 // resolveSpec canonicalizes a (model, app, insts) triple.
 func resolveSpec(modelID, appName string, insts int) (experiments.RunSpec, error) {
-	var model config.Model
-	found := false
-	for _, m := range config.All() {
-		if string(m.ID) == modelID {
-			model, found = m, true
-			break
-		}
-	}
-	if !found {
+	model, ok := config.Lookup(config.ModelID(modelID))
+	if !ok {
 		return experiments.RunSpec{}, fmt.Errorf("unknown model %q", modelID)
 	}
 	prof, ok := workload.ByName(appName)
@@ -405,11 +398,11 @@ func writeShed(w http.ResponseWriter, shed *sched.ShedError) {
 // sheds that cannot degrade carry Retry-After hints; everything else maps
 // through schedErrStatus. Drain rejections never degrade — a draining node
 // should shrink its work, not volunteer more.
-func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, start time.Time, err error) {
+func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, want string, start time.Time, err error) {
 	degradable := errors.Is(err, sched.ErrShed) ||
 		errors.Is(err, sched.ErrDeadlineUnmeetable) ||
 		errors.Is(err, context.DeadlineExceeded)
-	if degradable && s.serveStale(ctx, w, spec, start) {
+	if degradable && s.serveStale(ctx, w, spec, want, start) {
 		return
 	}
 	var shed *sched.ShedError
@@ -427,14 +420,13 @@ func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, spec 
 // answers 200 with explicit staleness markers — Degraded/RequestedDigest in
 // the body and X-Parrot-Degraded: stale on the wire — because an
 // approximate power number now beats a 429 for latency-bound callers, and
-// the marker lets everyone else discard it. Reports whether it wrote a
-// response.
-func (s *Server) serveStale(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, start time.Time) bool {
+// the marker lets everyone else discard it. want is the spec's digest.
+// Reports whether it wrote a response.
+func (s *Server) serveStale(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, want string, start time.Time) bool {
 	c := s.cfg.Cache
 	if c == nil {
 		return false
 	}
-	want := spec.Digest()
 	if res, ok := c.GetCtx(ctx, want); ok {
 		// The exact cell landed while the scheduler bounced us: serve it
 		// fresh, no degradation needed.
@@ -494,6 +486,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
+	digest := spec.Digest()
 
 	// Cluster routing. The hop guard wins over ownership: a request a peer
 	// already forwarded is served here no matter what the local ring says,
@@ -502,7 +495,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// if every remote route fails, this node rescues it locally.
 	rescued := false
 	if cl := s.cfg.Cluster; cl != nil {
-		digest := spec.Digest()
 		if from := r.Header.Get(cluster.ForwardedHeader); from != "" {
 			cl.NoteHopStop()
 		} else if owner, self := cl.Owner(digest); !self {
@@ -545,7 +537,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		res, disp, err = s.cfg.Sched.Submit(ctx, spec)
 	}
 	if err != nil {
-		s.writeRunError(ctx, w, spec, start, err)
+		s.writeRunError(ctx, w, spec, digest, start, err)
 		return
 	}
 	if rescued {
@@ -555,7 +547,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.cellReqs(disp.String()).Inc()
 	s.cellSecs(disp.String()).Observe(elapsed.Seconds())
 	writeJSON(w, http.StatusOK, proto.RunResponse{
-		Digest:       spec.Digest(),
+		Digest:       digest,
 		Cached:       disp.Cached(),
 		Disposition:  disp.String(),
 		RequestID:    telemetry.TraceFrom(ctx).ID(),

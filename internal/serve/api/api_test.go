@@ -244,3 +244,45 @@ func TestCorruptedRunResponseRejectedByClient(t *testing.T) {
 		t.Fatal("client accepted a corrupted result")
 	}
 }
+
+// TestRunHitAllocCeiling pins the allocation cost of an in-process /v1/run
+// cache hit, request construction and response recording included.
+// Measured with go1.24: 256 allocs per hit while hits decoded the stored
+// payload, rebuilt the roster, re-encoded the spec and hashed results field
+// by field; 94 without (101 under -race). The ceiling leaves headroom for
+// Go release drift, so the finer regressions are pinned at their layers
+// (cache.TestMemHitAllocs, workload.TestByNameAllocs,
+// experiments.TestRunSpecDigestMemo).
+func TestRunHitAllocCeiling(t *testing.T) {
+	const ceiling = 115
+	c, err := cache.New(cache.Config{MemBudget: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	s := sched.New(sched.Config{Workers: 1, Cache: c, Pool: core.NewPool(), Registry: reg})
+	t.Cleanup(func() { s.Drain(context.Background()) })
+	h := New(Config{Cache: c, Sched: s, Registry: reg}).Handler()
+	body := []byte(`{"model":"TON","app":"gzip","insts":2000}`)
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+		return w
+	}
+	if w := serve(); w.Code != http.StatusOK {
+		t.Fatalf("fill: status %d: %s", w.Code, w.Body)
+	}
+	var resp proto.RunResponse
+	if w := serve(); w.Code != http.StatusOK || json.Unmarshal(w.Body.Bytes(), &resp) != nil || resp.Disposition != "hit" {
+		t.Fatalf("repeat was not a hit: status %d: %s", w.Code, w.Body)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if w := serve(); w.Code != http.StatusOK {
+			t.Fatalf("hit: status %d", w.Code)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("cache hit allocates %.0f times, ceiling %d", allocs, ceiling)
+	}
+	t.Logf("%.0f allocs per cache hit (ceiling %d)", allocs, ceiling)
+}

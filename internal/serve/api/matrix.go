@@ -248,17 +248,11 @@ func resolveMatrix(req proto.MatrixRequest) ([]config.Model, []workload.Profile,
 		models = config.All()
 	} else {
 		for _, id := range req.Models {
-			found := false
-			for _, m := range config.All() {
-				if string(m.ID) == id {
-					models = append(models, m)
-					found = true
-					break
-				}
-			}
-			if !found {
+			m, ok := config.Lookup(config.ModelID(id))
+			if !ok {
 				return nil, nil, fmt.Errorf("unknown model %q", id)
 			}
+			models = append(models, m)
 		}
 	}
 	var apps []workload.Profile

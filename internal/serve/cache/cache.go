@@ -8,10 +8,11 @@
 //
 // The store is two-level: a byte-budgeted in-memory LRU front serves
 // repeated cells in microseconds, and an optional on-disk store (atomic
-// rename writes) survives restarts. Every entry carries the canonical
-// result digest (experiments.ResultDigest); disk loads are verified against
-// it, so corrupt or truncated entries are detected, expunged and recomputed
-// — never served.
+// rename writes) survives restarts. The front holds decoded core.Result
+// values: a hit copies one out and decodes nothing. Every disk entry
+// carries the canonical result digest (experiments.ResultDigest); disk
+// loads are verified against it, so corrupt or truncated entries are
+// detected, expunged and recomputed — never served.
 package cache
 
 import (
@@ -39,7 +40,7 @@ type Stats struct {
 	DiskErrors uint64 // unreadable/corrupt/mismatched disk entries expunged
 
 	Entries int   // resident in-memory entries
-	Bytes   int64 // resident in-memory payload bytes
+	Bytes   int64 // encoded payload bytes charged for resident entries
 	Budget  int64 // in-memory byte budget
 
 	// EntryBytesMean is the mean encoded entry size over all insertions.
@@ -56,8 +57,9 @@ func (s Stats) HitRate() float64 {
 
 // Config parameterizes a cache.
 type Config struct {
-	// MemBudget bounds resident payload bytes (<=0 = 64 MiB). The budget
-	// applies to encoded payloads; map/list overhead is not charged.
+	// MemBudget bounds resident payload bytes (<=0 = 64 MiB). Each entry is
+	// charged the size of its encoded payload (the canonical JSON the disk
+	// store writes); map/list overhead is not charged.
 	MemBudget int64
 	// Dir enables the on-disk store when non-empty. The directory is
 	// created if missing. Disk entries are not budgeted (cells are a few
@@ -69,12 +71,13 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// entry is one resident cell: the encoded payload (canonical JSON of the
-// core.Result) plus its integrity digest, on an intrusive LRU list.
+// entry is one resident cell on an intrusive LRU list. core.Result holds
+// no pointers, slices or maps, so copying res in or out isolates the
+// entry from every caller.
 type entry struct {
 	key        string
-	payload    []byte
-	resDigest  string
+	res        core.Result
+	size       int64  // encoded payload bytes charged to the budget
 	next, prev *entry // LRU list: head = most recent
 }
 
@@ -129,8 +132,9 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// encode produces the canonical payload of a result. JSON of core.Result
-// round-trips exactly (uint64 counters and shortest-roundtrip float64s), so
+// encode produces the canonical payload of a result: what the disk store
+// writes and what the byte budget charges. JSON of core.Result round-trips
+// exactly (uint64 counters and shortest-roundtrip float64s), so
 // decode(encode(r)) reproduces r's ResultDigest bit-identically.
 func encode(res *core.Result) ([]byte, error) { return json.Marshal(res) }
 
@@ -169,39 +173,25 @@ func (c *Cache) GetCtx(ctx context.Context, digest string) (*core.Result, bool) 
 }
 
 // get is the shared lookup; source reports the serving level ("mem",
-// "disk", "miss").
+// "disk", "miss"). Every hit returns a fresh copy.
 func (c *Cache) get(digest string) (*core.Result, string, bool) {
 	c.mu.Lock()
 	if e, ok := c.entries[digest]; ok {
 		c.moveToFront(e)
-		payload := e.payload
+		res := e.res
 		c.stats.Hits++
 		c.stats.MemHits++
 		c.mu.Unlock()
-		res, err := decode(payload)
-		if err != nil {
-			// Unreachable in practice (payload was produced by encode); treat
-			// as a miss and drop the entry defensively.
-			c.mu.Lock()
-			if e2, ok := c.entries[digest]; ok {
-				c.removeLocked(e2)
-			}
-			c.stats.Hits--
-			c.stats.MemHits--
-			c.stats.Misses++
-			c.mu.Unlock()
-			return nil, "miss", false
-		}
-		return res, "mem", true
+		return &res, "mem", true
 	}
 	c.mu.Unlock()
 
 	if c.dir != "" {
-		if res, payload, resDigest, ok := c.diskGet(digest); ok {
+		if res, size, ok := c.diskGet(digest); ok {
 			c.mu.Lock()
 			c.stats.Hits++
 			c.stats.DiskHits++
-			c.insertLocked(digest, payload, resDigest)
+			c.insertLocked(digest, res, size)
 			c.mu.Unlock()
 			return res, "disk", true
 		}
@@ -213,15 +203,14 @@ func (c *Cache) get(digest string) (*core.Result, string, bool) {
 	return nil, "miss", false
 }
 
-// Put stores a cell under its digest, in memory and (when enabled) on
-// disk. Storing an already-resident digest refreshes recency only: content
-// under a digest is immutable.
+// Put stores a copy of a cell under its digest, in memory and (when
+// enabled) on disk. Storing an already-resident digest refreshes recency
+// only: content under a digest is immutable.
 func (c *Cache) Put(digest string, res *core.Result) error {
 	payload, err := encode(res)
 	if err != nil {
 		return err
 	}
-	resDigest := experiments.ResultDigest(res)
 
 	c.mu.Lock()
 	c.stats.Puts++
@@ -230,11 +219,11 @@ func (c *Cache) Put(digest string, res *core.Result) error {
 		c.mu.Unlock()
 		return nil
 	}
-	c.insertLocked(digest, payload, resDigest)
+	c.insertLocked(digest, res, int64(len(payload)))
 	c.mu.Unlock()
 
 	if c.dir != "" {
-		if err := c.diskPut(digest, payload, resDigest); err != nil {
+		if err := c.diskPut(digest, payload, experiments.ResultDigest(res)); err != nil {
 			c.mu.Lock()
 			c.stats.DiskErrors++
 			c.mu.Unlock()
@@ -275,17 +264,17 @@ func (c *Cache) GetFamily(ctx context.Context, family string) (*core.Result, str
 	return res, digest, true
 }
 
-// insertLocked adds a payload under the digest and evicts LRU entries until
-// the byte budget holds. Caller holds c.mu.
-func (c *Cache) insertLocked(digest string, payload []byte, resDigest string) {
+// insertLocked adds a copy of res under the digest, charged size bytes, and
+// evicts LRU entries until the byte budget holds. Caller holds c.mu.
+func (c *Cache) insertLocked(digest string, res *core.Result, size int64) {
 	if e, ok := c.entries[digest]; ok {
 		c.moveToFront(e)
 		return
 	}
-	e := &entry{key: digest, payload: payload, resDigest: resDigest}
+	e := &entry{key: digest, res: *res, size: size}
 	c.entries[digest] = e
-	c.bytes += int64(len(payload))
-	c.occupancy.Add(len(payload))
+	c.bytes += size
+	c.occupancy.Add(int(size))
 	c.pushFront(e)
 	for c.bytes > c.budget && c.tail != nil && c.tail != e {
 		c.stats.Evictions++
@@ -335,7 +324,7 @@ func (c *Cache) removeLocked(e *entry) {
 	}
 	e.prev, e.next = nil, nil
 	delete(c.entries, e.key)
-	c.bytes -= int64(len(e.payload))
+	c.bytes -= e.size
 }
 
 // Len returns the number of resident in-memory entries.
@@ -345,7 +334,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Bytes returns resident in-memory payload bytes.
+// Bytes returns the encoded payload bytes charged for resident entries.
 func (c *Cache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -385,7 +374,7 @@ func (c *Cache) Register(reg *telemetry.Registry) {
 		emit("parrot_cache_disk_puts_total", "counter", "Results persisted to disk.", float64(st.DiskPuts))
 		emit("parrot_cache_disk_errors_total", "counter", "Corrupt/unwritable disk entries.", float64(st.DiskErrors))
 		emit("parrot_cache_entries", "gauge", "Resident in-memory entries.", float64(st.Entries))
-		emit("parrot_cache_bytes", "gauge", "Resident in-memory payload bytes.", float64(st.Bytes))
+		emit("parrot_cache_bytes", "gauge", "Encoded payload bytes charged for resident entries.", float64(st.Bytes))
 		emit("parrot_cache_budget_bytes", "gauge", "In-memory byte budget.", float64(st.Budget))
 		emit("parrot_cache_hit_rate", "gauge", "Hits per lookup.", st.HitRate())
 	})

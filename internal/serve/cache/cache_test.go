@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"parrot/internal/config"
@@ -60,6 +63,114 @@ func TestMemoryRoundTrip(t *testing.T) {
 	st := c.Stats()
 	if st.Hits != 1 || st.MemHits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 memHit / 1 miss", st)
+	}
+}
+
+// TestHitIsolation: memory entries are resident values, so a caller that
+// mutates a result it stored or was served must not reach the entry —
+// through Put's argument, Get, GetCtx, or a disk promotion.
+func TestHitIsolation(t *testing.T) {
+	want := *testResult(t, config.TON, "gzip", 5000)
+	digest := testSpec(t, config.TON, "gzip", 5000).Digest()
+	c, err := New(Config{MemBudget: 1 << 20, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := want
+	if err := c.Put(digest, &stored); err != nil {
+		t.Fatal(err)
+	}
+	stored.Cycles = 0
+
+	scribble := func(r *core.Result) {
+		r.Cycles++
+		r.App = "scribbled"
+		r.Breakdown[0] = -1
+		r.Counts[0]++
+	}
+	lookups := map[string]func() (*core.Result, bool){
+		"Get":    func() (*core.Result, bool) { return c.Get(digest) },
+		"GetCtx": func() (*core.Result, bool) { return c.GetCtx(context.Background(), digest) },
+	}
+	for name, get := range lookups {
+		for i := 0; i < 2; i++ {
+			got, ok := get()
+			if !ok {
+				t.Fatalf("%s: miss", name)
+			}
+			if *got != want {
+				t.Fatalf("%s lookup %d: entry changed by an earlier caller's mutation", name, i)
+			}
+			scribble(got)
+		}
+	}
+
+	// A cold instance promotes the disk entry; its first hit is mutated.
+	c2, err := New(Config{MemBudget: 1 << 20, Dir: c.dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok := c2.Get(digest)
+	if !ok || *got != want {
+		t.Fatal("disk promotion did not serve the stored result")
+	}
+	scribble(got)
+	if got, ok := c2.Get(digest); !ok || *got != want {
+		t.Fatal("promoted entry changed by the promoting caller's mutation")
+	}
+}
+
+// TestConcurrentHitsIsolated: goroutines that mutate their hits while
+// others look the same entry up and store new ones all see the stored
+// value.
+func TestConcurrentHitsIsolated(t *testing.T) {
+	want := *testResult(t, config.TON, "gzip", 5000)
+	c, err := New(Config{MemBudget: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k", &want); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				got, ok := c.Get("k")
+				if !ok || *got != want {
+					t.Errorf("goroutine %d: hit %d differs from the stored result", g, i)
+					return
+				}
+				got.Cycles += uint64(g + 1)
+				if err := c.Put(fmt.Sprintf("%d-%d", g, i), got); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestMemHitAllocs: a memory hit decodes nothing; its one allocation is
+// the caller's copy.
+func TestMemHitAllocs(t *testing.T) {
+	c, err := New(Config{MemBudget: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put("k", testResult(t, config.TON, "gzip", 5000)); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := c.Get("k"); !ok {
+			t.Fatal("miss")
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("memory hit allocates %.0f times, want 1 (the returned copy)", allocs)
 	}
 }
 

@@ -114,47 +114,48 @@ func DecodeEntry(raw []byte) (specDigest, resDigest string, payload []byte, err 
 
 // VerifyEntry fully validates a raw disk entry against the requested spec
 // digest: container structure, key match, payload decode, and the result
-// digest recomputed from the decoded result. Returns the decoded result on
-// success.
-func VerifyEntry(raw []byte, wantSpecDigest string) (*core.Result, []byte, string, error) {
+// digest recomputed from the decoded result. Returns the decoded result
+// and its payload size on success.
+func VerifyEntry(raw []byte, wantSpecDigest string) (*core.Result, int64, error) {
 	specDigest, resDigest, payload, err := DecodeEntry(raw)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, 0, err
 	}
 	if specDigest != wantSpecDigest {
-		return nil, nil, "", fmt.Errorf("cache: entry keyed %.12s, want %.12s", specDigest, wantSpecDigest)
+		return nil, 0, fmt.Errorf("cache: entry keyed %.12s, want %.12s", specDigest, wantSpecDigest)
 	}
 	res, err := decode(payload)
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("cache: corrupt payload: %w", err)
+		return nil, 0, fmt.Errorf("cache: corrupt payload: %w", err)
 	}
 	if got := experiments.ResultDigest(res); got != resDigest {
-		return nil, nil, "", fmt.Errorf("cache: result digest mismatch: got %.12s, stored %.12s", got, resDigest)
+		return nil, 0, fmt.Errorf("cache: result digest mismatch: got %.12s, stored %.12s", got, resDigest)
 	}
-	return res, payload, resDigest, nil
+	return res, int64(len(payload)), nil
 }
 
-// diskGet loads and verifies one entry. Corrupt entries are expunged so
-// they are rebuilt at most once.
-func (c *Cache) diskGet(digest string) (*core.Result, []byte, string, bool) {
+// diskGet loads and verifies one entry, returning the decoded result and
+// its payload size. Corrupt entries are expunged so they are rebuilt at
+// most once.
+func (c *Cache) diskGet(digest string) (*core.Result, int64, bool) {
 	// Chaos site "cache.disk.get": slow-disk latency, or a read fault that
 	// degrades to a plain miss (the entry stays on disk).
 	if c.chaos.Inject("cache.disk.get", digest) != nil {
-		return nil, nil, "", false
+		return nil, 0, false
 	}
 	raw, err := os.ReadFile(c.entryPath(digest))
 	if err != nil {
-		return nil, nil, "", false // absent (or unreadable): plain miss
+		return nil, 0, false // absent (or unreadable): plain miss
 	}
-	res, payload, resDigest, err := VerifyEntry(raw, digest)
+	res, size, err := VerifyEntry(raw, digest)
 	if err != nil {
 		c.mu.Lock()
 		c.stats.DiskErrors++
 		c.mu.Unlock()
 		os.Remove(c.entryPath(digest))
-		return nil, nil, "", false
+		return nil, 0, false
 	}
-	return res, payload, resDigest, true
+	return res, size, true
 }
 
 // diskPut writes one entry atomically: a unique temp file in the same

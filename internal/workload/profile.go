@@ -220,12 +220,31 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Apps returns the full 44-application benchmark suite of the study.
-// The three "killer applications" the paper highlights — flash (multimedia),
-// wupwise (SpecFP) and perlbmk (SpecInt) — are tuned toward high trace
-// affinity and optimizer-visible redundancy, as their measured behaviour in
-// the paper indicates.
-func Apps() []Profile {
+// roster is the 44-application suite, built once; byName indexes it.
+// Profile holds no pointers, slices or maps, so the value copies handed
+// out by Apps, SuiteApps and ByName cannot alias it.
+var (
+	roster = buildRoster()
+	byName = indexRoster(roster)
+)
+
+func indexRoster(apps []Profile) map[string]Profile {
+	idx := make(map[string]Profile, len(apps))
+	for _, p := range apps {
+		idx[p.Name] = p
+	}
+	return idx
+}
+
+// Apps returns the full 44-application benchmark suite of the study, as a
+// fresh slice the caller may modify.
+func Apps() []Profile { return append([]Profile(nil), roster...) }
+
+// buildRoster synthesizes the suite. The three "killer applications" the
+// paper highlights — flash (multimedia), wupwise (SpecFP) and perlbmk
+// (SpecInt) — are tuned toward high trace affinity and optimizer-visible
+// redundancy, as their measured behaviour in the paper indicates.
+func buildRoster() []Profile {
 	var out []Profile
 	add := func(p Profile) { out = append(out, p) }
 
@@ -329,22 +348,18 @@ func Apps() []Profile {
 
 // ByName looks up an application profile by name.
 func ByName(name string) (Profile, bool) {
-	for _, p := range Apps() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
+	p, ok := byName[name]
+	return p, ok
 }
 
 // KillerApps returns the three applications the paper singles out for the
 // highest improvements: flash, wupwise and perlbmk.
 func KillerApps() []string { return []string{"flash", "wupwise", "perlbmk"} }
 
-// SuiteApps returns the profiles belonging to one suite.
+// SuiteApps returns the profiles belonging to one suite, as a fresh slice.
 func SuiteApps(s Suite) []Profile {
 	var out []Profile
-	for _, p := range Apps() {
+	for _, p := range roster {
 		if p.Suite == s {
 			out = append(out, p)
 		}

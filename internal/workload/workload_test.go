@@ -43,6 +43,48 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestRosterIsolation: the roster is built once and shared, so every
+// accessor must hand out copies a caller can modify freely.
+func TestRosterIsolation(t *testing.T) {
+	want, _ := ByName("swim")
+
+	apps := Apps()
+	for i := range apps {
+		apps[i].HotFraction = -1
+	}
+	apps[0] = Profile{}
+	fp := SuiteApps(SpecFP)
+	for i := range fp {
+		fp[i].WSData = 1
+	}
+	p, _ := ByName("swim")
+	p.NumLoops = 999
+	p.TripCount[0] = 999
+
+	if got, _ := ByName("swim"); got != want {
+		t.Fatalf("roster changed through a returned copy: %+v", got)
+	}
+	if again := Apps(); again[0].Name != "bzip" || again[0].HotFraction <= 0 {
+		t.Fatalf("Apps()[0] = %+v after mutating an earlier result", again[0])
+	}
+	if again := SuiteApps(SpecFP); again[0].WSData == 1 {
+		t.Fatal("SuiteApps result aliases the roster")
+	}
+}
+
+// TestByNameAllocs: ByName indexes the roster built once; it builds
+// nothing per call.
+func TestByNameAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := ByName("swim"); !ok {
+			t.Fatal("swim missing")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ByName allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestSuiteApps(t *testing.T) {
 	fp := SuiteApps(SpecFP)
 	if len(fp) != 11 {

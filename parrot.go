@@ -81,10 +81,8 @@ func StandardModels() []Model { return config.Standard() }
 
 // GetModel returns the named configuration.
 func GetModel(id ModelID) (Model, error) {
-	for _, m := range config.All() {
-		if m.ID == id {
-			return m, nil
-		}
+	if m, ok := config.Lookup(id); ok {
+		return m, nil
 	}
 	return Model{}, fmt.Errorf("parrot: unknown model %q", id)
 }
