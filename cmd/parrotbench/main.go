@@ -16,9 +16,8 @@
 //	parrotbench -splitstudy      # split-core future-work study (§5)
 //	parrotbench -quick           # restrict studies to 1 app per suite
 //	parrotbench -simbench        # simulation-kernel throughput report (JSON)
-//	parrotbench -simbench -procs 2                    # add a GOMAXPROCS=2 matrix pass
+//	parrotbench -simbench -procs 2                    # add a 2-worker matrix pass at GOMAXPROCS=2
 //	parrotbench -enginebench     # engine per-cycle micro-benchmark report (JSON)
-//	parrotbench -memobench       # memoization record/replay speedup report (JSON)
 //	parrotbench -checkbaseline BENCH_simkernel.json   # CI perf-regression gate
 //	parrotbench -checkbaseline BENCH_simkernel.json -tolerance 0.05
 //	parrotbench -progress        # live done/total + ETA on stderr
@@ -123,10 +122,9 @@ func run() error {
 	quick := flag.Bool("quick", false, "restrict studies to one application per suite")
 	jsonOut := flag.Bool("json", false, "emit the full result matrix as JSON instead of figures")
 	simbench := flag.Bool("simbench", false, "measure simulation-kernel throughput and emit a JSON report")
-	procs := flag.Int("procs", 0, "with -simbench: add a matrix pass at GOMAXPROCS=N for multi-core scaling (0 = skip)")
+	procs := flag.Int("procs", 0, "with -simbench: add an N-worker matrix pass at GOMAXPROCS=N for multi-core scaling (0 = skip)")
 	enginebench := flag.Bool("enginebench", false, "measure engine micro-workloads and emit a JSON report")
-	memobench := flag.Bool("memobench", false, "measure hot-window memoization record/replay speedups and emit a JSON report")
-	checkBaseline := flag.String("checkbaseline", "", "perf gate: compare a fresh steady matrix pass against this BENCH_simkernel.json")
+	checkBaseline := flag.String("checkbaseline", "", "perf gate: compare a fresh 1-worker exact matrix pass against the steady pass of this BENCH_simkernel.json")
 	tolerance := flag.Float64("tolerance", 0.10, "max fractional sim-MIPS regression tolerated by -checkbaseline")
 	maxRegress := flag.Float64("maxregress", 0.10, "deprecated alias of -tolerance")
 	progress := flag.Bool("progress", false, "report matrix progress and ETA on stderr")
@@ -161,10 +159,6 @@ func run() error {
 
 	if *enginebench {
 		return runEngineBench(os.Stdout)
-	}
-
-	if *memobench {
-		return runMemoBench(*n, os.Stdout)
 	}
 
 	if *table != "" {

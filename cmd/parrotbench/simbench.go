@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
+	"sort"
 	"time"
 
 	"parrot"
@@ -28,25 +29,21 @@ type simBenchReport struct {
 	Apps        int    `json:"apps"`
 	Models      int    `json:"models"`
 
-	// MatrixPasses holds consecutive full-matrix runs. The first pass pays
-	// every compulsory cost (program synthesis, machine construction) and
-	// records memo chains; the "steady" pass replays them, which is the
-	// regime the experiment driver, the perf gate and warm parrotd fleets
-	// operate in. "steady_nomemo" forces the exact cycle engine on the same
-	// warm pool — the memoization speedup is steady / steady_nomemo.
+	// MatrixPasses holds full-matrix runs of the exact cycle engine. The
+	// "cold" pass pays every compulsory cost (program synthesis, machine
+	// construction); "steady" is the median of simBenchSamples one-worker
+	// passes on the warm pool, the reference the perf gate compares
+	// against; "parallel" (-procs N) is the same at N workers.
 	MatrixPasses []matrixPass `json:"matrix_passes"`
 
-	// ParallelEfficiency is set when a "parallel_nomemo" pass was recorded
-	// (-procs N): its sim-MIPS divided by N x the single-threaded
-	// steady_nomemo sim-MIPS. 1.0 = perfect scaling.
+	// ParallelEfficiency is set when a "parallel" pass was recorded: its
+	// median sim-MIPS divided by N × the one-worker steady median.
+	// 1.0 = perfect scaling.
 	ParallelEfficiency float64 `json:"parallel_efficiency,omitempty"`
 
-	// SteadyState profiles repeated single simulations on a warm pool with
-	// memoization live (replay throughput); SteadyStateExact is the same
-	// loop on a memo-off machine — the ~0 allocs/op gate for the
-	// slab-backed pipeline, unchanged from earlier trees.
-	SteadyState      steadyState `json:"steady_state"`
-	SteadyStateExact steadyState `json:"steady_state_nomemo"`
+	// SteadyState profiles repeated single simulations on one reused
+	// machine: the ~0 allocs/op gate for the slab-backed pipeline.
+	SteadyState steadyState `json:"steady_state"`
 
 	Pool poolCounters `json:"pool"`
 
@@ -61,8 +58,7 @@ type simBenchReport struct {
 	PR1Baseline seedBaseline `json:"pr1_baseline"`
 
 	// PR4Baseline is the steady matrix pass at the PR 4 tree (event-driven
-	// kernel, no hot-window memoization) — the reference for the
-	// memoization fast path's >=2x steady-matrix gate.
+	// kernel).
 	PR4Baseline seedBaseline `json:"pr4_baseline"`
 
 	Notes string `json:"notes,omitempty"`
@@ -103,8 +99,8 @@ var pollingKernelBaseline = seedBaseline{
 }
 
 // eventKernelBaseline is the steady matrix pass measured at the PR 4 tree
-// (event-driven execution kernel, time-wheel writeback, idle fast-forward;
-// no hot-window memoization) on the same machine.
+// (event-driven execution kernel, time-wheel writeback, idle fast-forward)
+// on the same machine.
 var eventKernelBaseline = seedBaseline{
 	Description: "PR 4 tree steady matrix pass: event-driven kernel, no hot-window memoization",
 	InstsPerApp: 50_000,
@@ -114,12 +110,18 @@ var eventKernelBaseline = seedBaseline{
 	AllocBytes:  1_648_208,
 }
 
+// matrixPass is one recorded full-matrix measurement. For a multi-sample
+// pass, WallSeconds, SimMIPS and the allocation counts belong to the median
+// sample; SimMIPSMin and SimMIPSMax give the spread.
 type matrixPass struct {
-	Pass        string  `json:"pass"` // cold | steady | steady_nomemo | parallel_nomemo
-	Memo        bool    `json:"memo"`
-	Procs       int     `json:"procs"`
+	Pass        string  `json:"pass"`    // cold | steady | parallel
+	Workers     int     `json:"workers"` // experiments.Config.Parallelism
+	Procs       int     `json:"procs"`   // GOMAXPROCS during the pass
+	Samples     int     `json:"samples"`
 	WallSeconds float64 `json:"wall_seconds"`
 	SimMIPS     float64 `json:"sim_mips"`
+	SimMIPSMin  float64 `json:"sim_mips_min"`
+	SimMIPSMax  float64 `json:"sim_mips_max"`
 	Allocs      uint64  `json:"allocs"`
 	AllocBytes  uint64  `json:"alloc_bytes"`
 }
@@ -156,11 +158,16 @@ func (d *memDelta) stop() (allocs, bytes uint64) {
 	return m1.Mallocs - d.m0.Mallocs, m1.TotalAlloc - d.m0.TotalAlloc
 }
 
-// timedMatrixPass runs one full experiment matrix and records it.
-func timedMatrixPass(name string, cfg experiments.Config, procs int) (matrixPass, *experiments.Results) {
+// simBenchSamples is the number of timed passes behind each steady and
+// parallel median.
+const simBenchSamples = 5
+
+// timedMatrixPass runs one full exact-engine experiment matrix with the
+// given worker count and records it.
+func timedMatrixPass(name string, n, workers int) matrixPass {
 	d := startMemDelta()
 	start := time.Now()
-	res := experiments.Run(cfg)
+	res := experiments.Run(experiments.Config{Insts: n, Parallelism: workers})
 	wall := time.Since(start).Seconds()
 	allocs, bytes := d.stop()
 	var insts uint64
@@ -169,20 +176,39 @@ func timedMatrixPass(name string, cfg experiments.Config, procs int) (matrixPass
 			insts += res.Get(id, p.Name).Insts
 		}
 	}
+	mips := float64(insts) / wall / 1e6
 	return matrixPass{
 		Pass:        name,
-		Memo:        cfg.Memoize != experiments.MemoOff,
-		Procs:       procs,
+		Workers:     workers,
+		Procs:       runtime.GOMAXPROCS(0),
+		Samples:     1,
 		WallSeconds: wall,
-		SimMIPS:     float64(insts) / wall / 1e6,
+		SimMIPS:     mips,
+		SimMIPSMin:  mips,
+		SimMIPSMax:  mips,
 		Allocs:      allocs,
 		AllocBytes:  bytes,
-	}, res
+	}
+}
+
+// medianMatrixPass times samples passes and returns the median one, with
+// the min and max sim-MIPS of all samples alongside.
+func medianMatrixPass(name string, n, workers, samples int) matrixPass {
+	runs := make([]matrixPass, samples)
+	for i := range runs {
+		runs[i] = timedMatrixPass(name, n, workers)
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].SimMIPS < runs[j].SimMIPS })
+	med := runs[samples/2]
+	med.Samples = samples
+	med.SimMIPSMin = runs[0].SimMIPS
+	med.SimMIPSMax = runs[samples-1].SimMIPS
+	return med
 }
 
 // runSimBench measures the kernel and writes the JSON report. procs > 1
-// adds a memo-off matrix pass at GOMAXPROCS=procs for the parallel-scaling
-// figure.
+// adds a matrix pass with procs workers at GOMAXPROCS=procs for the
+// parallel-scaling figure.
 func runSimBench(n, procs int, out io.Writer) error {
 	rep := simBenchReport{
 		Benchmark:    "simkernel",
@@ -191,88 +217,46 @@ func runSimBench(n, procs int, out io.Writer) error {
 		GOMAXPROCS:   runtime.GOMAXPROCS(0),
 		NumCPU:       runtime.NumCPU(),
 		InstsPerApp:  n,
+		Apps:         len(parrot.Apps()),
 		Models:       len(config.All()),
 		SeedBaseline: preKernelBaseline,
 		PR1Baseline:  pollingKernelBaseline,
 		PR4Baseline:  eventKernelBaseline,
-		Notes: "matrix_passes[0] pays compulsory costs (program synthesis, machine construction) and records " +
-			"memo chains; the steady pass replays them. steady_nomemo forces the exact cycle engine on the " +
-			"same warm pool, so steady/steady_nomemo is the memoization speedup and steady_nomemo/pr4_baseline " +
-			"the kernel-only delta. steady_state is per complete warmup+measure simulation, allocations included.",
+		Notes: "Every pass runs the exact cycle engine. matrix_passes[0] (cold) pays compulsory costs " +
+			"(program synthesis, machine construction); steady is the median of one-worker passes on the " +
+			"warm pool, with min/max over the samples, and is the -checkbaseline reference. parallel uses " +
+			"procs workers at GOMAXPROCS=procs; parallel_efficiency = parallel / (procs x steady). " +
+			"steady_state is per complete warmup+measure simulation on one reused machine, allocations included.",
 	}
 
-	// Full experiment matrix: cold (records), steady (replays), then the
-	// exact engine on the same warm pool.
-	memoCfg := experiments.Config{Insts: n}
-	exactCfg := experiments.Config{Insts: n, Memoize: experiments.MemoOff}
-	for _, pass := range []struct {
-		name string
-		cfg  experiments.Config
-	}{
-		{"cold", memoCfg},
-		{"steady", memoCfg},
-		{"steady_nomemo", exactCfg},
-	} {
-		mp, res := timedMatrixPass(pass.name, pass.cfg, runtime.GOMAXPROCS(0))
-		rep.MatrixPasses = append(rep.MatrixPasses, mp)
-		if rep.Apps == 0 {
-			rep.Apps = len(res.Apps())
-		}
-	}
+	cold := timedMatrixPass("cold", n, 1)
+	steady := medianMatrixPass("steady", n, 1, simBenchSamples)
+	rep.MatrixPasses = append(rep.MatrixPasses, cold, steady)
 
-	// Optional parallel pass: exact engine (memoization off, so the number
-	// reflects simulation scaling rather than replay scaling) at
-	// GOMAXPROCS=procs with a matching worker fan-out.
 	if procs > 1 {
 		old := runtime.GOMAXPROCS(procs)
-		parCfg := exactCfg
-		parCfg.Parallelism = procs
-		mp, _ := timedMatrixPass("parallel_nomemo", parCfg, procs)
+		par := medianMatrixPass("parallel", n, procs, simBenchSamples)
 		runtime.GOMAXPROCS(old)
-		rep.MatrixPasses = append(rep.MatrixPasses, mp)
-		for _, p := range rep.MatrixPasses {
-			if p.Pass == "steady_nomemo" && p.SimMIPS > 0 {
-				rep.ParallelEfficiency = mp.SimMIPS / (float64(procs) * p.SimMIPS)
-			}
-		}
+		rep.MatrixPasses = append(rep.MatrixPasses, par)
+		rep.ParallelEfficiency = par.SimMIPS / (float64(procs) * steady.SimMIPS)
 	}
 
-	// Steady-state single-run loop on a warm pool: replay throughput first
-	// (memoization live via the default pool), then the exact engine on a
-	// caller-managed memo-off machine — the slab pipeline's allocs/op gate.
+	// Steady-state single-run loop on one caller-managed machine, reset
+	// between runs: the slab pipeline's allocs/op gate.
 	const ssRuns, ssInsts = 200, 30_000
 	m, _ := parrot.GetModel(parrot.TON)
 	app, _ := parrot.AppByName("flash")
-	parrot.Run(m, app, ssInsts) // prime: records the chain
+	mach := core.New(config.Model(m))
+	core.RunWarmOn(mach, app, ssInsts) // prime
 	d := startMemDelta()
 	start := time.Now()
 	for i := 0; i < ssRuns; i++ {
-		parrot.Run(m, app, ssInsts)
+		mach.Reset()
+		core.RunWarmOn(mach, app, ssInsts)
 	}
 	wall := time.Since(start).Seconds()
 	allocs, bytes := d.stop()
 	rep.SteadyState = steadyState{
-		Model:            string(parrot.TON),
-		App:              "flash",
-		Insts:            ssInsts,
-		Runs:             ssRuns,
-		AllocsPerRun:     float64(allocs) / ssRuns,
-		AllocBytesPerRun: float64(bytes) / ssRuns,
-		SimMIPS:          float64(uint64(ssRuns)*ssInsts) / wall / 1e6,
-	}
-
-	exact := core.New(config.Model(m))
-	exact.EnableMemo(false)
-	core.RunWarmOn(exact, app, ssInsts) // prime
-	d = startMemDelta()
-	start = time.Now()
-	for i := 0; i < ssRuns; i++ {
-		exact.Reset()
-		core.RunWarmOn(exact, app, ssInsts)
-	}
-	wall = time.Since(start).Seconds()
-	allocs, bytes = d.stop()
-	rep.SteadyStateExact = steadyState{
 		Model:            string(parrot.TON),
 		App:              "flash",
 		Insts:            ssInsts,

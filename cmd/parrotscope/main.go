@@ -91,15 +91,9 @@ func run() error {
 		f    func(*os.File) error
 	}{
 		{"summary.json", func(f *os.File) error {
-			s := experiments.Summarize(res, res.AvgDynPower())
-			// Surface the memoization fast path instead of hiding it: the
-			// probed run recorded windows (and would have bypassed a replay
-			// had a chain existed), and those counters belong in the summary.
-			ms := machine.MemoStats()
-			s.Memo = &ms
 			enc := json.NewEncoder(f)
 			enc.SetIndent("", "  ")
-			return enc.Encode(s)
+			return enc.Encode(experiments.Summarize(res, res.AvgDynPower()))
 		}},
 		{"timeseries.json", func(f *os.File) error { return rec.WriteSeriesJSON(f) }},
 		{"timeseries.csv", func(f *os.File) error { return rec.WriteSeriesCSV(f) }},

@@ -54,13 +54,20 @@ func TestMatrixGoldenDigest(t *testing.T) {
 }
 
 // TestDigestIndependentOfParallelism pins the digest's determinism across
-// worker counts: the lock-free dense result matrix must yield the same bytes
-// no matter how jobs are scheduled.
+// worker counts and repeated passes: the lock-free dense result matrix must
+// yield the same bytes no matter how jobs are scheduled or which pooled
+// machines serve them.
 func TestDigestIndependentOfParallelism(t *testing.T) {
 	apps := appsByName(t, "gzip", "swim")
 	a := Run(Config{Insts: 20_000, Apps: apps, Parallelism: 1})
 	b := Run(Config{Insts: 20_000, Apps: apps, Parallelism: 8})
 	if da, db := a.Digest(), b.Digest(); da != db {
 		t.Fatalf("digest differs across parallelism: %s vs %s", da, db)
+	}
+	// A repeat pass draws the machines the passes above returned to the
+	// pool: reused machines must reproduce the digest.
+	c := Run(Config{Insts: 20_000, Apps: apps, Parallelism: 1})
+	if da, dc := a.Digest(), c.Digest(); da != dc {
+		t.Fatalf("repeated pass on a warm pool changed the digest: %s vs %s", da, dc)
 	}
 }

@@ -31,12 +31,10 @@ type Config struct {
 	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallelism int
 
-	// Memoize selects hot-window memoization for the matrix machines.
-	// The default (MemoDefault) enables it: repeated matrix passes replay
-	// recorded steady-state windows instead of re-simulating, bit-identically
-	// (the golden digest gate runs with memoization enabled). MemoOff forces
-	// the exact cycle engine; the PARROT_NO_MEMO environment variable
-	// force-disables memoization process-wide regardless of this field.
+	// Memoize is ignored: every cell runs the exact cycle engine.
+	//
+	// Deprecated: kept only so the perfbench module compiles; it goes at
+	// the next benchmark change.
 	Memoize MemoMode
 
 	// Progress, when non-nil, receives completion updates from the matrix
@@ -52,17 +50,15 @@ type Config struct {
 	Progress func(done, total int, elapsed, eta time.Duration)
 }
 
-// MemoMode selects hot-window memoization for matrix runs (Config.Memoize).
+// MemoMode is the type of the ignored Config.Memoize field.
+//
+// Deprecated: kept only for perfbench; see Config.Memoize.
 type MemoMode int
 
-const (
-	// MemoDefault memoizes unless PARROT_NO_MEMO is set in the environment.
-	MemoDefault MemoMode = iota
-	// MemoOff forces the exact cycle engine for every cell.
-	MemoOff
-	// MemoOn is explicit opt-in; PARROT_NO_MEMO still overrides it.
-	MemoOn
-)
+// MemoOff is the one remaining MemoMode value; it has no effect.
+//
+// Deprecated: kept only for perfbench; see Config.Memoize.
+const MemoOff MemoMode = 1
 
 // Results holds the complete model × application result matrix as a dense
 // row-major slice (one row per model, one column per application). Cells are
@@ -158,11 +154,6 @@ func Run(cfg Config) *Results {
 				m := local[model]
 				if m == nil {
 					m = core.DefaultPool.Get(model) // arrives reset
-					// Pooled machines keep their memoization setting (and
-					// chain tables) across jobs; pin it to this config so a
-					// machine last used by a MemoOff run re-enables, and
-					// vice versa.
-					m.EnableMemo(cfg.Memoize != MemoOff)
 					local[model] = m
 				} else {
 					m.Reset()

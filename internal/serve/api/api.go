@@ -136,7 +136,7 @@ func New(cfg Config) *Server {
 	}
 	s.cellReqs = func(disp string) *telemetry.Counter {
 		return s.reg.Counter("parrot_cell_requests_total",
-			"Simulation cells served, by disposition (hit/dedup/replayed/exact).",
+			"Simulation cells served, by disposition (hit/dedup/exact).",
 			"disposition", disp)
 	}
 	s.cellSecs = func(disp string) *telemetry.Histogram {

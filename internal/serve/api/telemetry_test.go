@@ -120,8 +120,8 @@ func TestTraceEndpointRoundTrip(t *testing.T) {
 	if resp.RequestID == "" {
 		t.Fatal("run response carries no request ID")
 	}
-	if resp.Disposition != "exact" && resp.Disposition != "replayed" {
-		t.Fatalf("cold run disposition = %q, want a simulation", resp.Disposition)
+	if resp.Disposition != "exact" {
+		t.Fatalf("cold run disposition = %q, want exact", resp.Disposition)
 	}
 
 	// Chrome trace-event JSON parses and is keyed to the request.
@@ -161,9 +161,6 @@ func TestTraceEndpointRoundTrip(t *testing.T) {
 	}
 	if got := byName["sched.submit"].Attrs["disposition"]; got != resp.Disposition {
 		t.Fatalf("sched.submit disposition attr = %q, want %q", got, resp.Disposition)
-	}
-	if got := byName["sim.run"].Attrs["memo"]; got != resp.Disposition {
-		t.Fatalf("sim.run memo attr = %q, want %q", got, resp.Disposition)
 	}
 	if byName["sim.run"].Attrs["model"] != "TON" || byName["sim.run"].Attrs["app"] != "swim" {
 		t.Fatalf("sim.run attrs = %v", byName["sim.run"].Attrs)

@@ -53,8 +53,8 @@ type RunResponse struct {
 	// without touching the worker fleet.
 	Cached bool `json:"cached"`
 	// Disposition refines Cached: how the cell was obtained — "hit" (result
-	// cache), "dedup" (joined an in-flight identical spec), "replayed"
-	// (memo-replay simulation), "exact" (full simulation).
+	// cache), "dedup" (joined an in-flight identical spec), "exact" (full
+	// simulation).
 	Disposition string `json:"disposition,omitempty"`
 	// RequestID is the server-assigned (or client-propagated
 	// X-Parrot-Request-Id) correlation ID; feed it to /v1/trace/{id} for the
@@ -100,7 +100,7 @@ type Progress struct {
 	EtaUs     int64 `json:"etaUs"`
 	// Cached reports whether the just-completed cell came from cache.
 	Cached bool `json:"cached"`
-	// Disposition refines Cached ("hit", "dedup", "replayed", "exact").
+	// Disposition refines Cached ("hit", "dedup", "exact").
 	Disposition string `json:"disposition,omitempty"`
 	// Failed counts cells (cumulative) that ended in a per-cell error
 	// instead of a result.
@@ -113,7 +113,7 @@ type Cell struct {
 	App    string `json:"app"`
 	Digest string `json:"digest"` // RunSpec digest (content address)
 	Cached bool   `json:"cached"`
-	// Disposition refines Cached ("hit", "dedup", "replayed", "exact").
+	// Disposition refines Cached ("hit", "dedup", "exact").
 	Disposition string       `json:"disposition,omitempty"`
 	Result      *core.Result `json:"result"`
 	// Node is the cluster node that served the cell (empty when the
@@ -241,7 +241,7 @@ type SchedMetrics struct {
 	BusyUs           int64   `json:"busyUs"`
 	SimMIPS          float64 `json:"simMIPS"`     // simulated Minsts per busy second
 	Utilization      float64 `json:"utilization"` // busy time / (workers × uptime)
-	// Overload-resilience counters (see DESIGN.md §14).
+	// Overload-resilience counters (see DESIGN.md §13).
 	ShedInteractive  uint64  `json:"shedInteractive"`
 	ShedBatch        uint64  `json:"shedBatch"`
 	DeadlineRejected uint64  `json:"deadlineRejected"`
