@@ -126,7 +126,6 @@ func run() error {
 	enginebench := flag.Bool("enginebench", false, "measure engine micro-workloads and emit a JSON report")
 	checkBaseline := flag.String("checkbaseline", "", "perf gate: compare a fresh 1-worker exact matrix pass against the steady pass of this BENCH_simkernel.json")
 	tolerance := flag.Float64("tolerance", 0.10, "max fractional sim-MIPS regression tolerated by -checkbaseline")
-	maxRegress := flag.Float64("maxregress", 0.10, "deprecated alias of -tolerance")
 	progress := flag.Bool("progress", false, "report matrix progress and ETA on stderr")
 	remote := flag.String("remote", "", "serve the matrix from a parrotd instance at this base URL (falls back to local when unreachable)")
 	prof := profiling.Define()
@@ -146,15 +145,7 @@ func run() error {
 	}
 
 	if *checkBaseline != "" {
-		// -tolerance is the documented knob; honor -maxregress only when it
-		// was set explicitly and -tolerance was not.
-		tol := *tolerance
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if set["maxregress"] && !set["tolerance"] {
-			tol = *maxRegress
-		}
-		return runBaselineCheck(*checkBaseline, *n, tol, os.Stdout)
+		return runBaselineCheck(*checkBaseline, *n, *tolerance, os.Stdout)
 	}
 
 	if *enginebench {

@@ -7,7 +7,7 @@
 //	parrotctl matrix -expect-digest <hex> -min-cached 0.95   # CI assertions
 //	parrotctl get -digest <hex>
 //	parrotctl health
-//	parrotctl metrics
+//	parrotctl metrics                 # every /metricsz series as JSON
 //	parrotctl top [-watch 2s] [-raw] [-expect 'series op value']...
 //	parrotctl trace -id <requestID> [-table] [-o trace.json]
 //	parrotctl cluster [-watch 2s] [-expect 'series op value']...
@@ -254,11 +254,11 @@ func cmdMetrics(args []string) error {
 	c := client.New(*server)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	m, err := c.Metrics(ctx)
+	exp, err := c.MetricsText(ctx)
 	if err != nil {
 		return err
 	}
-	return emitJSON(m)
+	return emitJSON(exp.Series)
 }
 
 func emitJSON(v any) error {

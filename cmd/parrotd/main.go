@@ -24,11 +24,15 @@
 // around. GET /clusterz exposes the membership view.
 //
 // Operational surface: GET /metricsz serves Prometheus text exposition
-// (?format=json for the legacy body), GET /v1/trace/{requestID} replays a
-// request's span timeline as Chrome trace-event JSON, GET /v1/stats/stream
-// pushes live metric snapshots over SSE, and -pprof exposes the runtime
-// profiles. Logs are structured JSON lines on stderr, one per event, each
-// carrying the request ID when request-scoped.
+// (the one metrics format; parrotctl top/metrics read it), GET
+// /v1/trace/{requestID} replays a request's span timeline as Chrome
+// trace-event JSON, and -pprof exposes the runtime profiles. Logs are
+// structured JSON lines on stderr, one per event, each carrying the
+// request ID when request-scoped.
+//
+// Every /v1/run response carries the digest that was asked for. Under
+// overload a shed cell is answered from cache only under its exact digest,
+// otherwise with 429 and a Retry-After hint.
 //
 // SIGINT/SIGTERM drains gracefully: /healthz reports draining, queued and
 // running jobs finish, in-flight HTTP responses complete, then the process

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +13,7 @@ import (
 	"parrot/internal/config"
 	"parrot/internal/core"
 	"parrot/internal/experiments"
+	"parrot/internal/serve/client"
 	"parrot/internal/serve/proto"
 	"parrot/internal/telemetry"
 	"parrot/internal/workload"
@@ -117,17 +117,19 @@ func TestClockSkewFiresProbesEarly(t *testing.T) {
 	}
 }
 
-// hedgeResponse builds a wire response that passes the serve client's
-// result-digest verification, so fake peers can serve real payloads.
-func hedgeResponse(t *testing.T) *proto.RunResponse {
+// hedgeResponse builds the wire response a healthy peer gives for the
+// TON/gzip cell at insts, so fake peers serve real payloads that pass the
+// serve client's result-digest verification and the router's
+// requested-digest check.
+func hedgeResponse(t *testing.T, insts int) *proto.RunResponse {
 	t.Helper()
 	app, ok := workload.ByName("gzip")
 	if !ok {
 		t.Fatal("gzip profile missing")
 	}
-	res := core.Run(config.Get(config.TON), app, 2000)
+	res := core.Run(config.Get(config.TON), app, insts)
 	return &proto.RunResponse{
-		Digest:       experiments.RunSpec{Model: config.Get(config.TON), App: app, Insts: 2000}.Normalize().Digest(),
+		Digest:       experiments.RunSpec{Model: config.Get(config.TON), App: app, Insts: insts}.Normalize().Digest(),
 		Result:       res,
 		ResultDigest: experiments.ResultDigest(res),
 		Disposition:  "exact",
@@ -142,7 +144,7 @@ func hedgeResponse(t *testing.T) *proto.RunResponse {
 // does the server watch the connection and cancel the request context when
 // the client goes away, so the slow peer observes the release.
 func TestHedgeCancelReleasesLoser(t *testing.T) {
-	resp := hedgeResponse(t)
+	var resp *proto.RunResponse // set once the slow peer's cell is known
 	released := make(chan struct{}, 1)
 	serve := func(delay time.Duration) *httptest.Server {
 		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -169,29 +171,31 @@ func TestHedgeCancelReleasesLoser(t *testing.T) {
 		VNodes: 16,
 	})
 	c := NewClient(reg, ClientConfig{
-		MaxAttempts: 2,
-		HedgeMin:    time.Millisecond,
-		HedgeMax:    25 * time.Millisecond, // sparse samples hedge at the max
-		Registry:    telemetry.NewRegistry(),
+		Retry:    client.RetryPolicy{MaxAttempts: 2},
+		HedgeMin: time.Millisecond,
+		HedgeMax: 25 * time.Millisecond, // sparse samples hedge at the max
+		Registry: telemetry.NewRegistry(),
 	})
 
-	// Find a digest the slow peer owns, so the hedge target is the fast one.
+	// Find a TON/gzip budget the slow peer owns, so the hedge target is the
+	// fast one.
 	ring, _ := reg.Ring()
-	digest := ""
-	for i := 0; i < 4096; i++ {
-		d := fmt.Sprintf("cell-%d", i)
+	gzip, _ := workload.ByName("gzip")
+	insts := 2000
+	for ; insts < 2000+4096; insts++ {
+		d := experiments.RunSpec{Model: config.Get(config.TON), App: gzip, Insts: insts}.Digest()
 		if owner, ok := ring.Owner(d); ok && owner == slow.URL {
-			digest = d
 			break
 		}
 	}
-	if digest == "" {
-		t.Fatal("no digest owned by the slow peer in 4096 probes")
+	if insts == 2000+4096 {
+		t.Fatal("no cell owned by the slow peer in 4096 budgets")
 	}
+	resp = hedgeResponse(t, insts)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	out, info, err := c.RunRemote(ctx, proto.RunRequest{Model: "TON", App: "gzip", Insts: 2000}, digest)
+	out, info, err := c.RunRemote(ctx, proto.RunRequest{Model: "TON", App: "gzip", Insts: insts}, resp.Digest)
 	if err != nil {
 		t.Fatalf("RunRemote: %v", err)
 	}

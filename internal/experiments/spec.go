@@ -68,15 +68,6 @@ func (s RunSpec) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// FamilyKey is Digest with the instruction budget masked out: every run of
-// the same (SimVersion, model, application) shares one family regardless
-// of -n. The serving layer's graceful-degradation path uses it to locate a
-// stale-but-related cached result when the exact digest cannot be computed
-// in time.
-func (s RunSpec) FamilyKey() string {
-	return hex.EncodeToString(specHash(s.Model, s.App).Sum(nil))
-}
-
 // specKey is the full (model, profile) value pair. Both types are flat
 // and comparable, so the pair itself is the memo key: a model perturbed
 // under an unchanged ID is a different key.
@@ -99,12 +90,11 @@ var specMemo struct {
 
 // specHash returns a SHA-256 hash that has absorbed the canonical encoding
 // of the pair: SimVersion, then the length-prefixed JSON of the model and
-// of the profile. JSON encoding and hashing it dominate the cost of Digest
-// and FamilyKey, and a server hashes the same few hundred pairs over and
-// over, so the hash state is memoized per pair. Map keys compare floats
-// with ==, which equates -0 and +0 although their JSON differs ("-0" vs
-// "0"); a pair holding a negative zero is therefore encoded afresh every
-// time.
+// of the profile. JSON encoding and hashing it dominate the cost of
+// Digest, and a server hashes the same few hundred pairs over and over, so
+// the hash state is memoized per pair. Map keys compare floats with ==,
+// which equates -0 and +0 although their JSON differs ("-0" vs "0"); a
+// pair holding a negative zero is therefore encoded afresh every time.
 func specHash(m config.Model, p workload.Profile) hash.Hash {
 	h := sha256.New()
 	k := specKey{model: m, app: p}

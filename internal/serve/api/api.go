@@ -4,15 +4,19 @@
 //	POST /v1/matrix           model × application fan-out with SSE progress
 //	GET  /v1/results/{digest} cache-only lookup by content address
 //	GET  /v1/trace/{id}       request span timeline (Chrome trace-event JSON)
-//	GET  /v1/stats/stream     live metric snapshots (SSE)
 //	GET  /healthz             liveness + drain state
-//	GET  /metricsz            Prometheus text exposition (?format=json legacy)
+//	GET  /readyz              routing readiness (prewarm, drain)
+//	GET  /clusterz            membership and ring view
+//	GET  /metricsz            Prometheus text exposition
 //	GET  /debug/pprof/…       runtime profiles (behind Config.EnablePprof)
 //
 // The server is a thin adapter: request bodies resolve to canonical
 // experiments.RunSpecs, the scheduler executes (or the cache serves) them,
 // and responses carry complete core.Result cells plus their content
-// addresses, so clients can verify transport integrity end-to-end.
+// addresses, so clients can verify transport integrity end-to-end. A
+// response always carries the digest that was asked for: a cell the
+// scheduler sheds is answered from cache only under its exact digest, and
+// otherwise with a 429 and a Retry-After hint.
 //
 // Every request is minted (or propagated, via X-Parrot-Request-Id) a
 // request ID that rides the context as a telemetry.Trace and a structured
@@ -56,7 +60,7 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxMatrixTimeout bounds matrix requests (0 = 10min).
 	MaxMatrixTimeout time.Duration
-	// Registry backs /metricsz and /v1/stats/stream (nil = a private one;
+	// Registry backs /metricsz (nil = a private one;
 	// pass the same registry to sched.New so its series appear too).
 	Registry *telemetry.Registry
 	// Log receives structured request logs (nil = silent).
@@ -65,8 +69,6 @@ type Config struct {
 	TraceBuf int
 	// EnablePprof exposes net/http/pprof under /debug/pprof/.
 	EnablePprof bool
-	// StatsInterval paces /v1/stats/stream snapshots (0 = 1s).
-	StatsInterval time.Duration
 	// Cluster enables multi-node routing: /v1/run forwards non-owned
 	// digests to their ring owner, /v1/matrix scatters cells across the
 	// ring, and /clusterz exposes membership (nil = single-node).
@@ -93,7 +95,6 @@ type Server struct {
 
 	deadlineReqs   *telemetry.Counter
 	deadlineBudget *telemetry.Histogram
-	degradedTotal  *telemetry.Counter
 }
 
 // New builds a server over a scheduler (required) and its cache (may be
@@ -107,9 +108,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
-	}
-	if cfg.StatsInterval <= 0 {
-		cfg.StatsInterval = time.Second
 	}
 	if cfg.NodeID == "" && cfg.Cluster != nil {
 		cfg.NodeID = cfg.Cluster.Self()
@@ -147,8 +145,6 @@ func New(cfg Config) *Server {
 		"Requests that arrived carrying an X-Parrot-Deadline budget header.")
 	s.deadlineBudget = s.reg.Histogram("parrot_deadline_budget_seconds",
 		"Remaining deadline budget carried by X-Parrot-Deadline.", reqBounds)
-	s.degradedTotal = s.reg.Counter("parrot_degraded_total",
-		"Run responses served as stale family fallbacks under overload (X-Parrot-Degraded: stale).")
 
 	// Scrape-time collectors over single snapshots: cache, pool, process.
 	cfg.Cache.Register(s.reg)
@@ -171,7 +167,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/matrix", s.handleMatrix)
 	s.mux.HandleFunc("GET /v1/results/{digest}", s.handleResult)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /v1/stats/stream", s.handleStatsStream)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /clusterz", s.handleClusterz)
@@ -203,8 +198,6 @@ func routeLabel(r *http.Request) string {
 		return "result"
 	case strings.HasPrefix(p, "/v1/trace/"):
 		return "trace"
-	case p == "/v1/stats/stream":
-		return "stats_stream"
 	case p == "/healthz":
 		return "healthz"
 	case p == "/readyz":
@@ -221,7 +214,7 @@ func routeLabel(r *http.Request) string {
 }
 
 // statusWriter captures the response code while preserving http.Flusher —
-// the matrix SSE stream (and /v1/stats/stream) flush through it.
+// the matrix SSE stream flushes through it.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -259,8 +252,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 
 		traced := route != "metricsz" && route != "healthz" &&
-			route != "readyz" && route != "clusterz" &&
-			route != "stats_stream" && route != "pprof"
+			route != "readyz" && route != "clusterz" && route != "pprof"
 		reqID := r.Header.Get(RequestIDHeader)
 		if reqID == "" {
 			reqID = telemetry.NewRequestID()
@@ -393,17 +385,34 @@ func writeShed(w http.ResponseWriter, shed *sched.ShedError) {
 	})
 }
 
-// writeRunError surfaces a Submit failure on /v1/run. Shed and
-// deadline-class failures first try graceful degradation (serveStale);
-// sheds that cannot degrade carry Retry-After hints; everything else maps
-// through schedErrStatus. Drain rejections never degrade — a draining node
-// should shrink its work, not volunteer more.
-func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, want string, start time.Time, err error) {
-	degradable := errors.Is(err, sched.ErrShed) ||
+// writeRunError surfaces a Submit failure on /v1/run. A shed or
+// deadline-class failure first rechecks the cache under the exact digest
+// (the cell may have landed while the job queued) and serves that hit;
+// sheds that find nothing carry Retry-After hints; everything else maps
+// through schedErrStatus. No other digest is ever substituted. Drain
+// rejections skip the recheck — a draining node should shrink its work,
+// not volunteer more.
+func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, digest string, start time.Time, err error) {
+	recheck := errors.Is(err, sched.ErrShed) ||
 		errors.Is(err, sched.ErrDeadlineUnmeetable) ||
 		errors.Is(err, context.DeadlineExceeded)
-	if degradable && s.serveStale(ctx, w, spec, want, start) {
-		return
+	if recheck && s.cfg.Cache != nil {
+		if res, ok := s.cfg.Cache.GetCtx(ctx, digest); ok {
+			elapsed := time.Since(start)
+			s.cellReqs(sched.DispCacheHit.String()).Inc()
+			s.cellSecs(sched.DispCacheHit.String()).Observe(elapsed.Seconds())
+			writeJSON(w, http.StatusOK, proto.RunResponse{
+				Digest:       digest,
+				Cached:       true,
+				Disposition:  sched.DispCacheHit.String(),
+				RequestID:    telemetry.TraceFrom(ctx).ID(),
+				ResultDigest: experiments.ResultDigest(res),
+				ElapsedUs:    elapsed.Microseconds(),
+				Result:       res,
+				Node:         s.cfg.NodeID,
+			})
+			return
+		}
 	}
 	var shed *sched.ShedError
 	if errors.As(err, &shed) {
@@ -411,62 +420,6 @@ func (s *Server) writeRunError(ctx context.Context, w http.ResponseWriter, spec 
 		return
 	}
 	writeErr(w, schedErrStatus(err), "%v", err)
-}
-
-// serveStale is /v1/run's graceful-degradation path for shed or
-// deadline-failed submits: first an exact-digest recheck (the cell may have
-// landed while the job queued), then the newest cached result of the same
-// (model, app, sim-version) family at any instruction budget. A family hit
-// answers 200 with explicit staleness markers — Degraded/RequestedDigest in
-// the body and X-Parrot-Degraded: stale on the wire — because an
-// approximate power number now beats a 429 for latency-bound callers, and
-// the marker lets everyone else discard it. want is the spec's digest.
-// Reports whether it wrote a response.
-func (s *Server) serveStale(ctx context.Context, w http.ResponseWriter, spec experiments.RunSpec, want string, start time.Time) bool {
-	c := s.cfg.Cache
-	if c == nil {
-		return false
-	}
-	if res, ok := c.GetCtx(ctx, want); ok {
-		// The exact cell landed while the scheduler bounced us: serve it
-		// fresh, no degradation needed.
-		elapsed := time.Since(start)
-		s.cellReqs(sched.DispCacheHit.String()).Inc()
-		s.cellSecs(sched.DispCacheHit.String()).Observe(elapsed.Seconds())
-		writeJSON(w, http.StatusOK, proto.RunResponse{
-			Digest:       want,
-			Cached:       true,
-			Disposition:  sched.DispCacheHit.String(),
-			RequestID:    telemetry.TraceFrom(ctx).ID(),
-			ResultDigest: experiments.ResultDigest(res),
-			ElapsedUs:    elapsed.Microseconds(),
-			Result:       res,
-			Node:         s.cfg.NodeID,
-		})
-		return true
-	}
-	res, digest, ok := c.GetFamily(ctx, spec.FamilyKey())
-	if !ok {
-		return false
-	}
-	s.degradedTotal.Inc()
-	elapsed := time.Since(start)
-	s.cellReqs("degraded").Inc()
-	s.cellSecs("degraded").Observe(elapsed.Seconds())
-	w.Header().Set(proto.DegradedHeader, "stale")
-	writeJSON(w, http.StatusOK, proto.RunResponse{
-		Digest:          digest,
-		Cached:          true,
-		Disposition:     "degraded",
-		RequestID:       telemetry.TraceFrom(ctx).ID(),
-		ResultDigest:    experiments.ResultDigest(res),
-		ElapsedUs:       elapsed.Microseconds(),
-		Result:          res,
-		Node:            s.cfg.NodeID,
-		Degraded:        true,
-		RequestedDigest: want,
-	})
-	return true
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -537,7 +490,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		res, disp, err = s.cfg.Sched.Submit(ctx, spec)
 	}
 	if err != nil {
-		s.writeRunError(ctx, w, spec, digest, start, err)
+		s.writeRunError(ctx, w, digest, start, err)
 		return
 	}
 	if rescued {
@@ -640,106 +593,9 @@ func (s *Server) handleClusterz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetricsz renders the registry in Prometheus text exposition format
-// (0.0.4). The pre-telemetry JSON body survives under ?format=json for
-// existing dashboards and the client library.
+// (0.0.4) — the daemon's one metrics format.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		s.metricszJSON(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_ = s.reg.WritePrometheus(w)
-}
-
-func (s *Server) metricszJSON(w http.ResponseWriter) {
-	var m proto.Metrics
-	if s.cfg.Cache != nil {
-		cs := s.cfg.Cache.Stats()
-		m.Cache = proto.CacheMetrics{
-			Hits: cs.Hits, Misses: cs.Misses,
-			MemHits: cs.MemHits, DiskHits: cs.DiskHits,
-			Puts: cs.Puts, Evictions: cs.Evictions, DiskErrors: cs.DiskErrors,
-			Entries: cs.Entries, Bytes: cs.Bytes, Budget: cs.Budget,
-			HitRate:        cs.HitRate(),
-			EntryBytesMean: cs.EntryBytesMean,
-		}
-	}
-	ss := s.cfg.Sched.Stats()
-	m.Sched = proto.SchedMetrics{
-		Workers:          ss.Workers,
-		Running:          ss.Running,
-		InteractiveDepth: ss.InteractiveDepth,
-		BatchDepth:       ss.BatchDepth,
-		Completed:        ss.Completed,
-		Deduped:          ss.Deduped,
-		Rejected:         ss.Rejected,
-		Abandoned:        ss.Abandoned,
-		CacheHits:        ss.CacheHits,
-		SimInsts:         ss.SimInsts,
-		BusyUs:           ss.BusyTime.Microseconds(),
-		SimMIPS:          ss.SimMIPS(),
-		ShedInteractive:  ss.ShedInteractive,
-		ShedBatch:        ss.ShedBatch,
-		DeadlineRejected: ss.DeadlineRejected,
-		DeadlineEvicted:  ss.DeadlineEvicted,
-		AdmitLimit:       ss.AdmitLimit,
-	}
-	if up := time.Since(s.start); up > 0 && ss.Workers > 0 {
-		m.Sched.Utilization = ss.BusyTime.Seconds() / (up.Seconds() * float64(ss.Workers))
-	}
-	ps := s.cfg.Sched.Pool().Stats()
-	m.Pool = proto.PoolMetrics{
-		Gets: ps.Gets, Reuses: ps.Reuses, Puts: ps.Puts, Discards: ps.Discards,
-		Size: s.cfg.Sched.Pool().Size(),
-	}
-	writeJSON(w, http.StatusOK, m)
-}
-
-// handleStatsStream pushes periodic flat registry snapshots as SSE "stats"
-// events until the client disconnects — a live top-style feed without
-// polling /metricsz.
-func (s *Server) handleStatsStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusInternalServerError, "streaming unsupported by connection")
-		return
-	}
-	interval := s.cfg.StatsInterval
-	if ms := r.URL.Query().Get("interval_ms"); ms != "" {
-		if d, err := time.ParseDuration(ms + "ms"); err == nil && d >= 100*time.Millisecond {
-			interval = d
-		}
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	emit := func() bool {
-		b, err := json.Marshal(s.reg.Flat())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: stats\ndata: %s\n\n", b); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	if !emit() {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-			if !emit() {
-				return
-			}
-		}
-	}
 }

@@ -185,18 +185,22 @@ func TestHealthzAndMetricsz(t *testing.T) {
 	if _, err := cl.Run(ctx, proto.RunRequest{Model: "N", App: "gzip", Insts: 5000}); err != nil {
 		t.Fatal(err)
 	}
-	m, err := cl.Metrics(ctx)
+	exp, err := cl.MetricsText(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Sched.Completed != 1 || m.Sched.CacheHits != 1 {
-		t.Fatalf("sched metrics = %+v, want 1 completed / 1 cacheHit", m.Sched)
+	for key, want := range map[string]float64{
+		"parrot_sched_completed_total":                  1,
+		`parrot_cell_requests_total{disposition="hit"}`: 1,
+		"parrot_cache_puts_total":                       1,
+		`parrot_cache_lookups_total{level="mem"}`:       1,
+	} {
+		if got, ok := exp.Get(key); !ok || got != want {
+			t.Fatalf("%s = %g (present %v), want %g", key, got, ok, want)
+		}
 	}
-	if m.Cache.Puts != 1 || m.Cache.Hits != 1 {
-		t.Fatalf("cache metrics = %+v, want 1 put / 1 hit", m.Cache)
-	}
-	if m.Sched.SimMIPS <= 0 {
-		t.Fatalf("SimMIPS = %g, want > 0", m.Sched.SimMIPS)
+	if v, _ := exp.Get("parrot_sched_sim_mips"); v <= 0 {
+		t.Fatalf("parrot_sched_sim_mips = %g, want > 0", v)
 	}
 
 	// Drain is reflected in /healthz.

@@ -65,11 +65,11 @@ func testCluster(t *testing.T, n int) []*clusterNode {
 			Peers:     urls,
 			VNodes:    32,
 			Registry:  reg,
-			Client: cluster.ClientConfig{
+			Client: cluster.ClientConfig{Retry: client.RetryPolicy{
 				MaxAttempts: 3,
 				BaseBackoff: time.Millisecond,
 				MaxBackoff:  5 * time.Millisecond,
-			},
+			}},
 		})
 		srv := New(Config{Cache: ca, Sched: sc, Registry: reg, Cluster: cl})
 		hs := &httptest.Server{Listener: lns[i], Config: &http.Server{Handler: srv.Handler()}}
@@ -246,6 +246,50 @@ func TestClusterRunRescuedAfterOwnerDeath(t *testing.T) {
 	}
 }
 
+// TestClusterMatrixNeverTakesAnotherBudget is the stale-leak regression: the
+// owner of a 10k-inst cell holds the same (model, app) pair cached only at
+// 5k and sheds everything. A 10k matrix through the other node must give
+// that cell the 10k result — via retry or local rescue — or count it as
+// failed; it must never carry the 5k run under the 10k label.
+func TestClusterMatrixNeverTakesAnotherBudget(t *testing.T) {
+	nodes := testCluster(t, 2)
+	ctx := context.Background()
+	owner := nodes[1]
+	model, app, _ := cellOwnedBy(t, nodes[0], owner.url, 10_000)
+
+	small, err := resolveSpec(model, app, 5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := owner.sc.Submit(ctx, small); err != nil {
+		t.Fatal(err)
+	}
+	owner.sc.SetAdmitLimit(0)
+
+	resp, err := nodes[0].c.Matrix(ctx, proto.MatrixRequest{
+		Models: []string{model}, Apps: []string{app}, Insts: 10_000,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := owner.sc.Stats(); st.ShedBatch == 0 {
+		t.Fatal("the owner never shed the cell: the scenario did not happen")
+	}
+	if resp.FailedCells == 1 {
+		return // an explicit failure is honest
+	}
+	prof, _ := workload.ByName(app)
+	want := experiments.ResultDigest(core.RunWarm(config.Get(config.ModelID(model)), prof, 10_000))
+	cell := resp.Cells[0]
+	if cell.Result == nil {
+		t.Fatalf("cell %s/%s has no result and failedCells = %d", model, app, resp.FailedCells)
+	}
+	if got := experiments.ResultDigest(cell.Result); got != want {
+		t.Fatalf("cell %s/%s result %.12s… (%d insts), want the 10k run %.12s…",
+			model, app, got, cell.Result.Insts, want)
+	}
+}
+
 // TestClusterMatrixSurvivesNodeDeath is the fan-out's fault-tolerance gate
 // at test scale: with one node dead (still in the ring — no probes run),
 // a matrix completes with zero failed cells, reproduces the in-process
@@ -312,7 +356,7 @@ func TestClusterMatrixSurvivesNodeDeath(t *testing.T) {
 	}
 	local := experiments.Run(experiments.Config{Models: models, Apps: apps, Insts: insts})
 	if resp.Digest != local.Digest() {
-		t.Fatalf("degraded-cluster digest %s != in-process digest %s", resp.Digest, local.Digest())
+		t.Fatalf("one-node-down cluster digest %s != in-process digest %s", resp.Digest, local.Digest())
 	}
 
 	// The dead node's cells were recovered (rescued locally or failed over).

@@ -88,14 +88,14 @@ func TestShedAnswers429WithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestDegradedStaleServesFamilyFallback: under shed pressure, a cell whose
-// (model, app) family has a cached result at another instruction budget is
-// served degraded — 200, explicit staleness markers, X-Parrot-Degraded —
-// instead of bounced.
-func TestDegradedStaleServesFamilyFallback(t *testing.T) {
+// TestShedNeverServesAnotherBudget: under shed pressure, a cell whose
+// (model, app) pair is cached only at another instruction budget is
+// answered 429 with a Retry-After hint — never 200 with the other budget's
+// result — while the cached budget itself is still served, under its own
+// digest.
+func TestShedNeverServesAnotherBudget(t *testing.T) {
 	hs, cl, s := overloadServer(t)
 
-	// Warm the family at one budget, then shed everything.
 	warm, err := cl.Run(context.Background(), proto.RunRequest{Model: "TON", App: "gzip", Insts: 5000})
 	if err != nil {
 		t.Fatal(err)
@@ -104,34 +104,22 @@ func TestDegradedStaleServesFamilyFallback(t *testing.T) {
 
 	resp := postRun(t, hs, proto.RunRequest{Model: "TON", App: "gzip", Insts: 9000}, nil)
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 via degraded fallback", resp.StatusCode)
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429 (the pair is cached only at 5000 insts)", resp.StatusCode)
 	}
-	if got := resp.Header.Get(proto.DegradedHeader); got != "stale" {
-		t.Fatalf("%s = %q, want \"stale\"", proto.DegradedHeader, got)
+	if secs, err := strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64); err != nil || secs < 1 {
+		t.Fatalf("Retry-After = %q, want whole seconds >= 1", resp.Header.Get("Retry-After"))
 	}
-	var out proto.RunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Degraded || out.Disposition != "degraded" {
-		t.Fatalf("degraded=%v disposition=%q, want explicit staleness markers", out.Degraded, out.Disposition)
-	}
-	if out.Digest != warm.Digest {
-		t.Fatalf("degraded digest = %s, want the family's cached digest %s", out.Digest, warm.Digest)
-	}
-	if out.RequestedDigest == "" || out.RequestedDigest == out.Digest {
-		t.Fatalf("requestedDigest = %q, want the distinct digest actually asked for", out.RequestedDigest)
-	}
-	if out.Result == nil || out.Result.Insts == 0 {
-		t.Fatal("degraded response carries no result")
+	if got := resp.Header.Get("X-Parrot-Degraded"); got != "" {
+		t.Fatalf("X-Parrot-Degraded = %q on a shed, want absent", got)
 	}
 
-	// An unrelated family has nothing to degrade to: plain 429.
-	resp2 := postRun(t, hs, proto.RunRequest{Model: "TON", App: "swim", Insts: 5000}, nil)
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("cold-family status = %d, want 429", resp2.StatusCode)
+	again, err := cl.Run(context.Background(), proto.RunRequest{Model: "TON", App: "gzip", Insts: 5000})
+	if err != nil {
+		t.Fatalf("cached budget under shed: %v", err)
+	}
+	if again.Digest != warm.Digest || again.Disposition != "hit" {
+		t.Fatalf("cached budget = %s/%s, want hit under %s", again.Digest, again.Disposition, warm.Digest)
 	}
 }
 
@@ -147,7 +135,7 @@ func TestDeadlineHeaderBecomesGatewayTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Different app (cold family — nothing to degrade to), 1ms budget.
+	// A different, uncached cell with a 1ms budget.
 	resp := postRun(t, hs, proto.RunRequest{Model: "N", App: "swim", Insts: 2_000_000},
 		map[string]string{proto.DeadlineHeader: "1"})
 	defer resp.Body.Close()

@@ -1,7 +1,6 @@
 package api
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"parrot/internal/config"
 	"parrot/internal/core"
@@ -94,14 +92,6 @@ func TestMetricszPrometheus(t *testing.T) {
 		t.Fatal("request latency histogram did not record both requests")
 	}
 
-	// The legacy JSON body survives under ?format=json.
-	m, err := cl.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Sched.Completed != 1 || m.Sched.CacheHits != 1 {
-		t.Fatalf("legacy JSON metrics = %+v", m.Sched)
-	}
 }
 
 // TestTraceEndpointRoundTrip pins the request-tracing contract: a /v1/run
@@ -253,52 +243,6 @@ func names(spans []telemetry.Span) []string {
 		out[i] = sp.Name
 	}
 	return out
-}
-
-// TestStatsStreamSSE reads the first snapshot off /v1/stats/stream and
-// checks it is a flat series map carrying live values.
-func TestStatsStreamSSE(t *testing.T) {
-	cl, _, _ := testServer(t)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-
-	if _, err := cl.Run(ctx, proto.RunRequest{Model: "N", App: "gzip", Insts: 5000}); err != nil {
-		t.Fatal(err)
-	}
-
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
-		cl.Base()+"/v1/stats/stream?interval_ms=100", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("content type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	var data string
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "data: ") {
-			data = strings.TrimPrefix(line, "data: ")
-			break
-		}
-	}
-	if data == "" {
-		t.Fatalf("no stats event received: %v", sc.Err())
-	}
-	var flat map[string]float64
-	if err := json.Unmarshal([]byte(data), &flat); err != nil {
-		t.Fatalf("stats event is not a flat series map: %v", err)
-	}
-	if flat["parrot_sched_completed_total"] != 1 {
-		t.Fatalf("streamed completed = %g, want 1", flat["parrot_sched_completed_total"])
-	}
-	if _, ok := flat["parrot_uptime_seconds"]; !ok {
-		t.Fatal("stream snapshot missing uptime")
-	}
 }
 
 // TestTelemetryPreservesResults is the PR's bit-exactness pin: a server

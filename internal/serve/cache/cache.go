@@ -93,12 +93,6 @@ type Cache struct {
 	dir     string
 	chaos   *chaos.Injector
 
-	// families maps a spec family key (model+app, insts masked — see
-	// experiments.RunSpec.FamilyKey) to the digest of the family's most
-	// recently stored member. It is a secondary index only — entries own
-	// the bytes, and a family whose member was evicted simply misses.
-	families map[string]string
-
 	// occupancy histograms encoded entry sizes over all insertions — the
 	// byte-budget sizing signal surfaced on /metricsz.
 	occupancy *metrics.Histogram
@@ -114,11 +108,10 @@ func New(cfg Config) (*Cache, error) {
 		budget = 64 << 20
 	}
 	c := &Cache{
-		budget:   budget,
-		entries:  make(map[string]*entry),
-		families: make(map[string]string),
-		dir:      cfg.Dir,
-		chaos:    cfg.Chaos,
+		budget:  budget,
+		entries: make(map[string]*entry),
+		dir:     cfg.Dir,
+		chaos:   cfg.Chaos,
 		// Entry-size buckets: cells encode to a few KiB; 1 KiB steps up to
 		// 16 KiB cover the realistic range, the overflow bucket catches the
 		// rest.
@@ -234,34 +227,6 @@ func (c *Cache) Put(digest string, res *core.Result) error {
 		c.mu.Unlock()
 	}
 	return nil
-}
-
-// PutTagged is Put plus a family-index update: the digest becomes the
-// family's most recent member, making it discoverable by GetFamily when a
-// later run of the same (model, app) family must degrade to a stale
-// result under overload.
-func (c *Cache) PutTagged(digest, family string, res *core.Result) error {
-	c.mu.Lock()
-	c.families[family] = digest
-	c.mu.Unlock()
-	return c.Put(digest, res)
-}
-
-// GetFamily returns the most recently stored member of a spec family (and
-// the digest it is stored under), or ok=false when the family has no
-// resident member. Telemetry mirrors GetCtx.
-func (c *Cache) GetFamily(ctx context.Context, family string) (*core.Result, string, bool) {
-	c.mu.Lock()
-	digest, ok := c.families[family]
-	c.mu.Unlock()
-	if !ok {
-		return nil, "", false
-	}
-	res, found := c.GetCtx(ctx, digest)
-	if !found {
-		return nil, "", false
-	}
-	return res, digest, true
 }
 
 // insertLocked adds a copy of res under the digest, charged size bytes, and

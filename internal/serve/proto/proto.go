@@ -1,9 +1,10 @@
 // Package proto defines the wire types of the parrotd serving API — the
-// JSON request/response bodies of /v1/run, /v1/matrix (and its SSE progress
-// events), /v1/results/{digest}, /healthz and /metricsz. The daemon, the
-// client library and every CLI (parrotctl, parrotload, parrotsim -remote,
-// parrotbench -remote) share these structs, so the wire format has exactly
-// one definition.
+// JSON request/response bodies of /v1/run, /v1/matrix (and its SSE
+// progress events), /v1/results/{digest}, /healthz, /readyz and /clusterz.
+// The daemon, the client library and every CLI (parrotctl, parrotload,
+// parrotsim -remote, parrotbench -remote) share these structs, so the wire
+// format has exactly one definition. Metrics travel only as Prometheus
+// text on /metricsz.
 package proto
 
 import "parrot/internal/core"
@@ -22,9 +23,6 @@ const (
 	// survives clock skew between hops; each hop re-stamps the remaining
 	// budget from its own ctx deadline before forwarding.
 	DeadlineHeader = "X-Parrot-Deadline"
-	// DegradedHeader marks a /v1/run response served from a stale family
-	// fallback under shed or deadline pressure (value "stale").
-	DegradedHeader = "X-Parrot-Degraded"
 	// RetryAfterMsHeader is the millisecond-precision companion of the
 	// standard Retry-After header on 429 shed responses.
 	RetryAfterMsHeader = "X-Parrot-Retry-After-Ms"
@@ -72,12 +70,6 @@ type RunResponse struct {
 	// Attempts counts transport attempts the client layer needed (1 = first
 	// try; populated client-side by the retrying client, not the server).
 	Attempts int `json:"attempts,omitempty"`
-	// Degraded marks a stale family fallback served under shed or deadline
-	// pressure: Digest/Result belong to a previously cached run of the same
-	// (model, app) family — possibly at a different instruction budget —
-	// and RequestedDigest is the digest that was actually asked for.
-	Degraded        bool   `json:"degraded,omitempty"`
-	RequestedDigest string `json:"requestedDigest,omitempty"`
 }
 
 // MatrixRequest asks for a model × application fan-out. Empty slices mean
@@ -206,61 +198,4 @@ type ClusterStatus struct {
 	// Members is the current ring membership (non-dead), sorted.
 	Members []string      `json:"members"`
 	Nodes   []ClusterNode `json:"nodes"`
-}
-
-// CacheMetrics exposes result-cache counters.
-type CacheMetrics struct {
-	Hits       uint64  `json:"hits"`
-	Misses     uint64  `json:"misses"`
-	MemHits    uint64  `json:"memHits"`
-	DiskHits   uint64  `json:"diskHits"`
-	Puts       uint64  `json:"puts"`
-	Evictions  uint64  `json:"evictions"`
-	DiskErrors uint64  `json:"diskErrors"`
-	Entries    int     `json:"entries"`
-	Bytes      int64   `json:"bytes"`
-	Budget     int64   `json:"budgetBytes"`
-	HitRate    float64 `json:"hitRate"` // hits / (hits+misses)
-	// EntryBytesMean is the mean encoded entry size over all insertions
-	// (from the cache's occupancy histogram).
-	EntryBytesMean float64 `json:"entryBytesMean"`
-}
-
-// SchedMetrics exposes scheduler/worker-fleet counters.
-type SchedMetrics struct {
-	Workers          int     `json:"workers"`
-	Running          int     `json:"running"`
-	InteractiveDepth int     `json:"interactiveQueueDepth"`
-	BatchDepth       int     `json:"batchQueueDepth"`
-	Completed        uint64  `json:"completed"`
-	Deduped          uint64  `json:"deduped"`
-	Rejected         uint64  `json:"rejected"`
-	Abandoned        uint64  `json:"abandoned"`
-	CacheHits        uint64  `json:"cacheHits"`
-	SimInsts         uint64  `json:"simInsts"`
-	BusyUs           int64   `json:"busyUs"`
-	SimMIPS          float64 `json:"simMIPS"`     // simulated Minsts per busy second
-	Utilization      float64 `json:"utilization"` // busy time / (workers × uptime)
-	// Overload-resilience counters (see DESIGN.md §13).
-	ShedInteractive  uint64  `json:"shedInteractive"`
-	ShedBatch        uint64  `json:"shedBatch"`
-	DeadlineRejected uint64  `json:"deadlineRejected"`
-	DeadlineEvicted  uint64  `json:"deadlineEvicted"`
-	AdmitLimit       float64 `json:"admitLimit"`
-}
-
-// PoolMetrics exposes machine-pool counters.
-type PoolMetrics struct {
-	Gets     uint64 `json:"gets"`
-	Reuses   uint64 `json:"reuses"`
-	Puts     uint64 `json:"puts"`
-	Discards uint64 `json:"discards"`
-	Size     int    `json:"size"`
-}
-
-// Metrics is the /metricsz body.
-type Metrics struct {
-	Cache CacheMetrics `json:"cache"`
-	Sched SchedMetrics `json:"sched"`
-	Pool  PoolMetrics  `json:"pool"`
 }

@@ -233,10 +233,11 @@ func splitLabels(s string) []string {
 	return out
 }
 
-// cutLabel splits one `k="v"` pair, unescaping the value.
+// cutLabel splits one `k="v"` pair, unescaping the value. The closing
+// quote must follow the opening one: `"="` is no pair.
 func cutLabel(p string) (k, v string, ok bool) {
 	i := strings.Index(p, `="`)
-	if i < 0 || !strings.HasSuffix(p, `"`) {
+	if i < 0 || len(p) < i+3 || !strings.HasSuffix(p, `"`) {
 		return "", "", false
 	}
 	k = p[:i]
