@@ -16,7 +16,7 @@ const (
 
 // Breaker is a per-node circuit breaker: after Threshold consecutive
 // failures the circuit opens and Allow refuses traffic for Cooldown, then
-// admits exactly one half-open trial; the trial's outcome closes or
+// admits one half-open trial at a time; the trial's outcome closes or
 // re-opens the circuit. It protects the fleet from burning its bounded
 // retry budget on a peer that fails fast (connection refused to a dead
 // process returns in microseconds — without a breaker every cell would
@@ -28,6 +28,7 @@ type Breaker struct {
 	state     breakerState
 	fails     int
 	openedAt  time.Time
+	trialAt   time.Time
 	opens     uint64
 }
 
@@ -45,8 +46,10 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 
 // Allow reports whether a request may be sent now. In the open state it
 // returns false until the cooldown elapses, then transitions to half-open
-// and admits a single trial (concurrent callers see false until the trial
-// resolves via Observe).
+// and admits a single trial. Concurrent callers see false until the trial
+// resolves via Observe or, unresolved, expires after another cooldown: an
+// admission that never reports (a pick that sent elsewhere, a leg that was
+// cancelled) cannot leave the circuit stuck half-open.
 func (b *Breaker) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -56,10 +59,15 @@ func (b *Breaker) Allow(now time.Time) bool {
 	case breakerOpen:
 		if now.Sub(b.openedAt) >= b.cooldown {
 			b.state = breakerHalfOpen
+			b.trialAt = now
 			return true
 		}
 		return false
 	default: // half-open: one trial already admitted
+		if now.Sub(b.trialAt) >= b.cooldown {
+			b.trialAt = now
+			return true
+		}
 		return false
 	}
 }

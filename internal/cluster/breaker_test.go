@@ -109,3 +109,24 @@ func TestBreakerDefaults(t *testing.T) {
 		t.Fatal("default cooldown elapsed but no trial admitted")
 	}
 }
+
+// TestBreakerUnresolvedTrialExpires: a half-open trial that never reports
+// (its admission was not used, or its leg was cancelled) must not wedge the
+// circuit: after another cooldown a fresh trial is admitted.
+func TestBreakerUnresolvedTrialExpires(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := NewBreaker(3, 2*time.Second)
+	for i := 0; i < 3; i++ {
+		b.Observe(false, now)
+	}
+	trialAt := now.Add(2 * time.Second)
+	if !b.Allow(trialAt) {
+		t.Fatal("no half-open trial admitted")
+	}
+	if b.Allow(trialAt.Add(time.Second)) {
+		t.Fatal("a second trial was admitted while the first is within its cooldown")
+	}
+	if !b.Allow(trialAt.Add(2 * time.Second)) {
+		t.Fatal("an unresolved trial wedged the breaker half-open")
+	}
+}
